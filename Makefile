@@ -69,18 +69,15 @@ bench-obs:
 	@cat BENCH_obs.json
 
 # bench-parallel records the deterministic-parallelism scaling curves:
-# for each of the three parallelized layers — engine.MatchBatch serving,
-# the batch worklist chase (semantics.EnforceWorkers) and the
-# incremental stream chase — it measures a 1/2/4/GOMAXPROCS worker
-# curve with speedup_vs_1 and merges it as a "parallel" section into
-# the layer's existing BENCH_*.json (other sections untouched). On a
-# 1-core box every speedup hovers near 1.0; that run is the
+# for each of the two parallelized layers — engine.MatchBatch serving
+# and the incremental stream chase — it measures a 1/2/4/GOMAXPROCS
+# worker curve with speedup_vs_1 and merges it as a "parallel" section
+# into the layer's existing BENCH_*.json (other sections untouched). On
+# a 1-core box every speedup hovers near 1.0; that run is the
 # non-regression record, re-run on a multi-core box for the scaling
-# record. BENCH_ENGINE_K / BENCH_EXEC_K / BENCH_STREAM_K override the
-# corpus scales.
+# record. BENCH_ENGINE_K / BENCH_STREAM_K override the corpus scales.
 bench-parallel:
 	BENCH_PARALLEL_ENGINE_OUT=$(CURDIR)/BENCH_engine.json $(GO) test -run TestWriteParallelBenchReport -count=1 -timeout 30m -v ./internal/engine/
-	BENCH_PARALLEL_EXEC_OUT=$(CURDIR)/BENCH_exec.json $(GO) test -run TestWriteParallelExecReport -count=1 -timeout 30m -v .
 	BENCH_PARALLEL_STREAM_OUT=$(CURDIR)/BENCH_stream.json $(GO) test -run TestWriteParallelStreamReport -count=1 -timeout 30m -v ./internal/stream/
 
 # bench-fault runs the robustness suite and records the admission gate:

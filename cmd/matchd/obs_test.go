@@ -143,6 +143,16 @@ func TestMetricsConformance(t *testing.T) {
 	if ruleFam.Samples[0].Labels["rule"] == "" {
 		t.Fatalf("per-rule sample lacks the rule label: %+v", ruleFam.Samples[0])
 	}
+	// Speculation outcomes are exported at any chase worker count.
+	outcomes := map[string]bool{}
+	for _, s := range byName["mdmatch_stream_speculation_pairs_total"].Samples {
+		outcomes[s.Labels["outcome"]] = true
+	}
+	for _, o := range []string{"speculated", "committed", "invalidated", "not_evaluated"} {
+		if !outcomes[o] {
+			t.Fatalf("speculation family lacks outcome %q: %v", o, outcomes)
+		}
+	}
 	// HTTP middleware families, fed by the requests above.
 	var reqTotal float64
 	reqFam := byName["matchd_http_requests_total"]

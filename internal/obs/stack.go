@@ -150,6 +150,16 @@ func (o *StreamObserver) AttachStream(e *stream.Enforcer) {
 	reg.CollectGauge("mdmatch_stream_chase_workers",
 		"Chase worker count (1 = serial; >1 = deterministic parallel chase).", nil,
 		func(emit Emit) { emit(float64(e.Workers())) })
+	reg.CollectCounter("mdmatch_stream_speculation_pairs_total",
+		"Chase candidate pairs by speculation outcome (all 0 at one chase worker): speculated by a worker, committed from its verdict, invalidated by an earlier commit, or visited with no verdict.",
+		[]string{"outcome"},
+		func(emit Emit) {
+			s := e.SpeculationStats()
+			emit(float64(s.Speculated), "speculated")
+			emit(float64(s.Committed), "committed")
+			emit(float64(s.Invalidated), "invalidated")
+			emit(float64(s.NotEvaluated), "not_evaluated")
+		})
 	reg.CollectGauge("mdmatch_stream_queue_depth",
 		"Insert operations in flight (queued on the insertion lock or chasing).", nil,
 		func(emit Emit) { emit(float64(e.QueueDepth())) })

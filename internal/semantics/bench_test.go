@@ -37,30 +37,3 @@ func BenchmarkEnforce(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkEnforceWorkers runs the worklist chase through the
-// deterministic parallel layer (speculation thresholds lowered so it
-// engages at bench scale) at 1, 2 and 4 workers. CI smokes it at
-// -benchtime=1x; the workers=1 sub-bench doubles as a check that the
-// parallel build of the chase costs nothing when serial.
-func BenchmarkEnforceWorkers(b *testing.B) {
-	ds, err := gen.Generate(gen.DefaultConfig(90))
-	if err != nil {
-		b.Fatal(err)
-	}
-	sigma := gen.HolderMDs(ds.Ctx)
-	d := ds.Pair()
-	oldChunk, oldMin := specChunk, specMinPairs
-	specChunk, specMinPairs = 4096, 64
-	defer func() { specChunk, specMinPairs = oldChunk, oldMin }()
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := EnforceWorkers(d, sigma, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

@@ -246,24 +246,12 @@ type EnforceResult struct {
 // is bounded by the total cell count; the pass loop is additionally
 // guarded.
 func Enforce(d *record.PairInstance, sigma []core.MD) (EnforceResult, error) {
-	return EnforceWorkers(d, sigma, 1)
-}
-
-// EnforceWorkers is Enforce with an explicit chase worker count:
-// workers > 1 evaluates each scan chunk's LHS verdicts speculatively on
-// worker goroutines and commits firings serially in reference order, so
-// the firing sequence — and therefore the stable instance, Applications,
-// Passes and the deterministic chase counters — is bit-identical to
-// Enforce at any worker count (property-tested in parallel_test.go).
-// workers <= 0 selects GOMAXPROCS; workers == 1 is exactly the serial
-// chase.
-func EnforceWorkers(d *record.PairInstance, sigma []core.MD, workers int) (EnforceResult, error) {
 	out := d.Clone()
 	mds, err := compileSigma(out.Ctx, sigma)
 	if err != nil {
 		return EnforceResult{}, err
 	}
-	return newWorklist(out, mds, workers).run()
+	return newWorklist(out, mds).run()
 }
 
 // StableFor builds a stable instance for Σ from D by enforcement and

@@ -3,7 +3,6 @@ package semantics
 import (
 	"container/heap"
 	"fmt"
-	"runtime"
 	"slices"
 
 	"mdmatch/internal/record"
@@ -75,10 +74,6 @@ type wlMD struct {
 	// seeds are the compiled join-key fields (empty for rules without
 	// encodable conjuncts).
 	seeds []seedExec
-	// speculable: every LHS conjunct evaluates on pure interned reads
-	// (no kindDirect fallback), so chunks of this rule's scan may be
-	// evaluated on worker goroutines (see parallel.go).
-	speculable bool
 	// dirtyL/dirtyR hold tuple indices touched on relevant columns by
 	// firings since this rule last consumed them.
 	dirtyL, dirtyR map[int]struct{}
@@ -200,19 +195,10 @@ type worklist struct {
 	curOrd       int64
 
 	ordScratch []int64 // reused across blocked scans
-
-	// workers/spec: the deterministic parallel layer (parallel.go).
-	// spec stays nil at workers <= 1, keeping the serial chase exactly
-	// as it was.
-	workers int
-	spec    *speculator
 }
 
-func newWorklist(out *record.PairInstance, mds []compiledMD, workers int) *worklist {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	w := &worklist{d: out, n1: out.Left.Len(), n2: out.Right.Len(), workers: workers}
+func newWorklist(out *record.PairInstance, mds []compiledMD) *worklist {
+	w := &worklist{d: out, n1: out.Left.Len(), n2: out.Right.Len()}
 	w.cache = newEvalCache(out, mds)
 	a1, a2 := out.Ctx.Left.Arity(), out.Ctx.Right.Arity()
 	for i := range mds {
@@ -249,21 +235,10 @@ func newWorklist(out *record.PairInstance, mds []compiledMD, workers int) *workl
 				m.idxR.add(j, m.key(1, j))
 			}
 		}
-		m.speculable = true
-		for _, c := range m.lhs {
-			if c.kind == kindDirect {
-				m.speculable = false
-				break
-			}
-		}
 		w.mds = append(w.mds, m)
 	}
 	w.ch = newChase(out)
 	w.ch.onTouch = w.touched
-	if workers > 1 {
-		w.spec = newSpeculator(workers, w.n1, w.n2)
-		w.warmDerived()
-	}
 	return w
 }
 
@@ -287,12 +262,7 @@ func (w *worklist) run() (EnforceResult, error) {
 	}
 	// Operator calls made through the verdict caches (cache misses)
 	// count as LHS evaluations exactly once, totalled at the end.
-	// Speculative evaluations merged into the caches (parallel.go) were
-	// never counted by the caches themselves and are added here.
 	w.res.Stats.LHSEvaluations += w.cache.operatorEvaluations()
-	if w.spec != nil {
-		w.res.Stats.LHSEvaluations += w.spec.evals
-	}
 	return w.res, nil
 }
 
@@ -333,16 +303,6 @@ func (w *worklist) sideTouched(left bool, ti, ai int) {
 		}
 	} else if !s.relR[ai] {
 		return
-	}
-	// A relevant touch invalidates every speculation of the current
-	// chunk that reads this tuple (the stamp reaches sp.clock, and
-	// validity requires a stamp strictly below the chunk's epoch).
-	if sp := w.spec; sp != nil {
-		if left {
-			sp.stampL[ti] = sp.clock
-		} else {
-			sp.stampR[ti] = sp.clock
-		}
 	}
 	if w.bitsL != nil { // dense filtered scan: widen the filters
 		if left {
@@ -467,9 +427,6 @@ func (w *worklist) scanDense(m *wlMD, pass int) bool {
 	}
 	m.dirtyL = make(map[int]struct{})
 	m.dirtyR = make(map[int]struct{})
-	if w.spec != nil && m.speculable && int64(w.n1)*int64(w.n2) >= int64(specMinPairs) {
-		return w.scanDenseSpec(m, filtered)
-	}
 	fired := false
 	for i1 := 0; i1 < w.n1; i1++ {
 		if filtered && !w.bitsL[i1] {
@@ -549,11 +506,6 @@ func (w *worklist) scanBlocked(m *wlMD, pass int) bool {
 	w.over, w.overSet = &over, make(map[int64]struct{})
 	w.heapActive = true
 	w.curOrd = -1
-	if w.spec != nil && m.speculable && len(base) >= specMinPairs {
-		fired := w.commitBlockedSpec(m)
-		w.ordScratch = base[:0]
-		return fired
-	}
 	fired := false
 	for {
 		var ord int64

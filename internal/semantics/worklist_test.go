@@ -97,16 +97,25 @@ func checkEquivalence(t *testing.T, label string, d *record.PairInstance, sigma 
 // dirtying protocol), the worklist must reproduce the seed full-scan
 // chase exactly — same stable instance, same Applications, same Passes.
 func TestWorklistEquivalenceGen(t *testing.T) {
+	type input struct {
+		k    int
+		seed int64
+	}
+	var inputs []input
 	for _, k := range []int{25, 60} {
 		for _, seed := range []int64{1, 2, 3} {
-			cfg := gen.DefaultConfig(k)
-			cfg.Seed = seed
-			ds, err := gen.Generate(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkEquivalence(t, fmt.Sprintf("gen(K=%d,seed=%d)", k, seed), ds.Pair(), gen.HolderMDs(ds.Ctx))
+			inputs = append(inputs, input{k, seed})
 		}
+	}
+	inputs = append(inputs, input{40, 7})
+	for _, in := range inputs {
+		cfg := gen.DefaultConfig(in.k)
+		cfg.Seed = in.seed
+		ds, err := gen.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkEquivalence(t, fmt.Sprintf("gen(K=%d,seed=%d)", in.k, in.seed), ds.Pair(), gen.HolderMDs(ds.Ctx))
 	}
 }
 

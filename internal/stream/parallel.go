@@ -1,44 +1,55 @@
 package stream
 
 import (
-	"container/heap"
+	"bytes"
 	"runtime"
 
 	"mdmatch/internal/par"
 	"mdmatch/internal/values"
 )
 
-// The deterministic parallel layer of the incremental chase: the same
-// speculate/commit protocol as the batch worklist's parallel layer
-// (internal/semantics/parallel.go, which documents the protocol and the
-// determinism argument in full), adapted to the Enforcer's persistent
-// state. In short:
+// The deterministic parallel layer of the incremental chase:
+// speculative parallel verdict evaluation with serial in-order commit.
 //
-//  1. Chunk the current scan's candidate frontier.
-//  2. Workers evaluate each candidate's full verdict — LHS conjuncts
-//     and the RHS-differs check — on pure reads (interned id slices,
-//     pre-warmed derived forms, verdict-cache Peeks); cache misses are
-//     computed with values.Cache.Compute and buffered per worker.
-//  3. Barrier; merge the buffered fills into the shared caches
-//     (values.MergeFills, order-independent).
-//  4. Commit the chunk serially in exactly the serial scan's order. A
-//     candidate whose tuples a preceding commit touched on a relevant
-//     column re-evaluates serially (per-tuple stamps vs the chunk
-//     epoch); a valid speculation commits from its verdict.
+// The chase is ORDER-SENSITIVE (enforcement is not confluent), so the
+// firing sequence of the serial scan is the contract — the parallel
+// chase must produce the exact same sequence. The two scan loops of
+// stream.go (scanRule's base/overflow-heap merge and scanDenseSweep's
+// filter sweep) each run in one of two modes. Serial, every candidate
+// is visited. Speculating, the loop works chunk by chunk:
 //
-// The stream chase has effects the batch chase lacks, all applied at
-// commit and therefore in serial order: cluster linking on any LHS
-// match (not just value-changing firings), per-rule telemetry, and the
-// provenance hooks of provenance.go (TraceSink, the cluster link
-// trail). Speculation records NO provenance — a speculative verdict is
-// provisional until its commit — so the provenance stream is
-// bit-identical at any worker count.
+//  1. As the scan cursor reaches the end of the last chunk, take the
+//     next chunk of candidates: specChunk base entries, or a block of
+//     grid rows holding about specChunk cells.
+//  2. PARALLEL PHASE: workers evaluate each candidate's full verdict —
+//     LHS conjuncts and the RHS-differs check — on pure reads (interned
+//     id slices, pre-warmed derived forms, verdict-cache Peeks). Cache
+//     misses are answered by values.Cache.Compute and buffered per
+//     worker; nothing shared is written, so the phase is race-free by
+//     construction.
+//  3. BARRIER: the buffered fills merge into the shared caches
+//     (values.MergeFills; order-independent because verdicts are pure
+//     and Store is idempotent — see values/spec.go).
+//  4. SERIAL COMMIT: the loop carries on in exactly the serial order,
+//     committing each candidate through commitPair. A speculation is
+//     valid iff neither of its rows was touched on a column the
+//     scanning rule reads since the chunk's epoch began (per-row stamps
+//     against the epoch); a valid one commits from its verdict, and an
+//     invalidated one — or a candidate with no verdict (specNone) —
+//     falls back to a serial visit.
+//
+// The committed effects are exactly visit's — cluster linking on any
+// LHS match, per-rule telemetry and the provenance hooks of
+// provenance.go — and are all applied at commit, in serial order.
+// Speculation records NO provenance: a speculative verdict is
+// provisional until its commit.
+//
 // The firing sequence — and with it the instance, clusters, applied
-// rules, Applications, Passes, PairsExamined, RuleFirings and the
-// per-rule counters — is bit-identical to the serial Enforcer at any
-// worker count (property-tested in parallel_test.go). LHSEvaluations
-// may exceed the serial count by speculations a same-chunk commit made
-// unreachable.
+// rules, Applications, Passes, PairsExamined, RuleFirings, the per-rule
+// counters and the provenance stream — is bit-identical to the serial
+// Enforcer at any worker count (property-tested in parallel_test.go).
+// LHSEvaluations may exceed the serial count by speculations a
+// same-chunk commit made unreachable; it is never lower.
 //
 // One observable difference from workers == 1 exists outside the
 // contract: derived Soundex code ids are assigned in dictionary order
@@ -47,11 +58,12 @@ import (
 // (rows share a bucket iff their seed encodings are pairwise equal),
 // which is all the scan order depends on.
 
-// specChunk and specMinPairs mirror the batch chase's thresholds:
-// candidates speculated per phase, and the frontier size below which a
-// scan stays serial. denseMaterializeCap lives in stream.go; all three
-// are vars so the property tests can shrink them to force the parallel
-// paths on small datasets.
+// specChunk is the number of candidates speculated per phase, and
+// specMinPairs the frontier size below which a scan stays serial (a
+// goroutine fan-out costs more than a handful of warm verdict lookups).
+// denseMaterializeCap lives in stream.go; all three are vars so the
+// property tests can shrink them to force many chunks, mid-chunk
+// invalidations and the dense sweep on small datasets.
 var (
 	specChunk    = 1 << 15
 	specMinPairs = 2048
@@ -79,8 +91,9 @@ func TuneSpeculation(chunk, minPairs int, denseCap int64) (restore func()) {
 }
 
 // Speculative verdicts. specNone marks a candidate the parallel phase
-// did not evaluate (outside the dense filters at speculation time); it
-// never validates, so the commit falls back to a serial visit.
+// did not evaluate (overflow-heap entries, and dense cells outside the
+// side filters at speculation time); it never validates, so the commit
+// falls back to a serial visit.
 const (
 	specNoMatch uint8 = iota // LHS fails: pair only counts as examined
 	specMatch                // LHS holds, RHS already equal: links, no firing
@@ -107,6 +120,41 @@ func WithWorkers(n int) Option {
 // Workers reports the configured chase worker count.
 func (e *Enforcer) Workers() int { return e.workers }
 
+// SpeculationStats counts what the parallel layer did over the
+// Enforcer's lifetime; all zero at one worker. Every speculated pair
+// commits exactly once, so Speculated == Committed + Invalidated. The
+// counts depend on the worker count and on thresholds, so they are kept
+// out of Stats (which recovery reproduces bit for bit).
+type SpeculationStats struct {
+	// Speculated counts candidate pairs whose verdict a worker evaluated.
+	Speculated int64
+	// Committed counts speculations committed from their verdict.
+	Committed int64
+	// Invalidated counts speculations an earlier commit in the same
+	// chunk made stale (a row touched on a relevant column); each was
+	// re-visited serially.
+	Invalidated int64
+	// NotEvaluated counts candidates a speculating scan visited with no
+	// verdict (specNone): overflow-heap re-enqueues, and dense cells a
+	// mid-block touch brought into the side filters.
+	NotEvaluated int64
+	// Fills counts the speculative verdict-cache fills merged: operator
+	// evaluations the caches' own counters never saw. CacheStats misses
+	// plus Fills equals Stats().Chase.LHSEvaluations on an enforcer not
+	// restored from a State.
+	Fills int64
+}
+
+// SpeculationStats returns the parallel layer's lifetime counters.
+func (e *Enforcer) SpeculationStats() SpeculationStats {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.spec == nil {
+		return SpeculationStats{}
+	}
+	return e.spec.stats
+}
+
 // speculator is the Enforcer's persistent parallel state.
 type speculator struct {
 	workers int
@@ -120,6 +168,7 @@ type speculator struct {
 	// per-worker cache-fill buffers (merged at each barrier).
 	verdicts []uint8
 	fills    [][]values.Fill
+	stats    SpeculationStats
 }
 
 // warmEntry tracks incremental pre-warming of one dictionary's lazily
@@ -224,16 +273,27 @@ func (e *Enforcer) specEval(r *ruleState, i1, i2 int, buf *[]values.Fill) uint8 
 	return specMatch
 }
 
-// commitPair commits one base candidate: from its speculative verdict
-// when that is still valid (computed this chunk, and neither row
-// touched on a relevant column since the chunk's epoch began), by a
-// full serial visit otherwise. The committed effects are exactly
+// commitPair commits one candidate of a scan. epoch is the current
+// chunk's epoch, 0 in a serial scan, where every candidate is visited.
+// In a speculating scan a verdict commits when it is still valid
+// (computed this chunk, and neither row touched on a relevant column
+// since the chunk's epoch began); a stale verdict or a specNone
+// candidate is visited serially. The committed effects are exactly
 // visit's, including cluster linking and per-rule telemetry.
 func (e *Enforcer) commitPair(r *ruleState, i1, i2 int, v uint8, epoch int64) bool {
-	sp := e.spec
-	if v == specNone || sp.stampL[i1] >= epoch || sp.stampR[i2] >= epoch {
+	if epoch == 0 {
 		return e.visit(r, i1, i2)
 	}
+	sp := e.spec
+	switch {
+	case v == specNone:
+		sp.stats.NotEvaluated++
+		return e.visit(r, i1, i2)
+	case sp.stampL[i1] >= epoch || sp.stampR[i2] >= epoch:
+		sp.stats.Invalidated++
+		return e.visit(r, i1, i2)
+	}
+	sp.stats.Committed++
 	e.noteExamined(r)
 	if v == specNoMatch {
 		return false
@@ -247,119 +307,51 @@ func (e *Enforcer) commitPair(r *ruleState, i1, i2 int, v uint8, epoch int64) bo
 	return true
 }
 
-// speculate runs one parallel phase over a slice of base ords and
-// merges the workers' cache fills, returning the chunk's epoch and the
-// verdict slice (valid until the next phase).
+// phase opens a speculation phase over nCells candidates: it advances
+// the clock and returns the phase's epoch and verdict slice (valid
+// until the next phase).
+func (sp *speculator) phase(nCells int) (int64, []uint8) {
+	sp.clock++
+	if cap(sp.verdicts) < nCells {
+		sp.verdicts = make([]uint8, nCells)
+	}
+	return sp.clock, sp.verdicts[:nCells]
+}
+
+// merge closes a phase at the barrier: it folds the workers' cache
+// fills into the shared caches and counts the evaluated verdicts.
+func (sp *speculator) merge(verdicts []uint8) {
+	sp.stats.Fills += values.MergeFills(sp.fills)
+	sp.stats.Speculated += int64(len(verdicts) - bytes.Count(verdicts, []byte{specNone}))
+}
+
+// speculate runs one parallel phase over a chunk of base ords.
 func (e *Enforcer) speculate(r *ruleState, ords []int64) (int64, []uint8) {
 	sp := e.spec
-	sp.clock++
-	epoch := sp.clock
-	if cap(sp.verdicts) < len(ords) {
-		sp.verdicts = make([]uint8, len(ords))
-	}
-	verdicts := sp.verdicts[:len(ords)]
+	epoch, verdicts := sp.phase(len(ords))
 	n := int64(e.inst.Len())
 	par.ForWorker(len(ords), sp.workers, func(wk, k int) {
 		ord := ords[k]
 		verdicts[k] = e.specEval(r, int(ord/n), int(ord%n), &sp.fills[wk])
 	})
-	e.specEvals += values.MergeFills(sp.fills)
+	sp.merge(verdicts)
 	return epoch, verdicts
 }
 
-// commitBlockedSpec is scanRule's merge loop with chunk-wise
-// speculation: speculate the next base chunk, then commit base entries
-// and overflow-heap pops in exactly the serial interleaving. Heap
-// entries (mid-scan re-enqueues, rare) always take the serial visit
-// path — they were never speculated.
-func (e *Enforcer) commitBlockedSpec(r *ruleState) bool {
-	n := int64(e.inst.Len())
-	over := e.over
-	fired := false
-	for e.baseIdx < len(e.base) || over.Len() > 0 {
-		start := e.baseIdx
-		end := min(start+specChunk, len(e.base))
-		epoch, verdicts := e.speculate(r, e.base[start:end])
-		for {
-			if e.baseIdx < end && (over.Len() == 0 || e.base[e.baseIdx] < (*over)[0]) {
-				ord := e.base[e.baseIdx]
-				slot := e.baseIdx - start
-				e.baseIdx++
-				e.curOrd = ord
-				if e.commitPair(r, int(ord/n), int(ord%n), verdicts[slot], epoch) {
-					fired = true
-				}
-				continue
-			}
-			if over.Len() == 0 {
-				break
-			}
-			if e.baseIdx < len(e.base) && e.base[e.baseIdx] < (*over)[0] {
-				break // due after this chunk's base entries: next chunk
-			}
-			ord := heap.Pop(over).(int64)
-			delete(e.overSet, ord)
-			e.curOrd = ord
-			if e.visit(r, int(ord/n), int(ord%n)) {
-				fired = true
-			}
-		}
-	}
-	return fired
-}
-
-// scanDenseSpec is scanDenseSweep with row-block speculation: evaluate
-// a block of grid rows in parallel (cells outside the current side
-// filters carry specNone), then commit the block with the serial
-// sweep's exact filter logic. A filter widened by a mid-block commit is
-// caught twice over: the widening touch stamps the row (invalidating
-// its speculations), and the commit re-reads the filters at the same
-// program points as the serial loop.
-func (e *Enforcer) scanDenseSpec(r *ruleState, n int) bool {
+// speculateRows runs one parallel phase over the dense-grid rows
+// [r0, r1). Cells outside the current side filters carry specNone.
+func (e *Enforcer) speculateRows(r *ruleState, r0, r1, n int) (int64, []uint8) {
 	sp := e.spec
-	rows := specChunk / n
-	if rows < 1 {
-		rows = 1
-	}
-	fired := false
-	for r0 := 0; r0 < n; r0 += rows {
-		r1 := min(r0+rows, n)
-		sp.clock++
-		epoch := sp.clock
-		nCells := (r1 - r0) * n
-		if cap(sp.verdicts) < nCells {
-			sp.verdicts = make([]uint8, nCells)
+	epoch, verdicts := sp.phase((r1 - r0) * n)
+	par.ForWorker(len(verdicts), sp.workers, func(wk, k int) {
+		i1 := r0 + k/n
+		i2 := k % n
+		if !e.bitsL[i1] && !e.bitsR[i2] {
+			verdicts[k] = specNone
+			return
 		}
-		verdicts := sp.verdicts[:nCells]
-		par.ForWorker(nCells, sp.workers, func(wk, k int) {
-			i1 := r0 + k/n
-			i2 := k % n
-			if !e.bitsL[i1] && !e.bitsR[i2] {
-				verdicts[k] = specNone
-				return
-			}
-			verdicts[k] = e.specEval(r, i1, i2, &sp.fills[wk])
-		})
-		e.specEvals += values.MergeFills(sp.fills)
-		for i1 := r0; i1 < r1; i1++ {
-			row := (i1 - r0) * n
-			if !e.bitsL[i1] {
-				for i2 := 0; i2 < n; i2++ {
-					if !e.bitsR[i2] && !e.bitsL[i1] {
-						continue
-					}
-					if e.commitPair(r, i1, i2, verdicts[row+i2], epoch) {
-						fired = true
-					}
-				}
-				continue
-			}
-			for i2 := 0; i2 < n; i2++ {
-				if e.commitPair(r, i1, i2, verdicts[row+i2], epoch) {
-					fired = true
-				}
-			}
-		}
-	}
-	return fired
+		verdicts[k] = e.specEval(r, i1, i2, &sp.fills[wk])
+	})
+	sp.merge(verdicts)
+	return epoch, verdicts
 }

@@ -18,9 +18,7 @@ import (
 // too. Defaults are restored when the test ends.
 func forceSpeculation(t *testing.T, chunk, minPairs int, denseCap int64) {
 	t.Helper()
-	oldChunk, oldMin, oldCap := specChunk, specMinPairs, denseMaterializeCap
-	specChunk, specMinPairs, denseMaterializeCap = chunk, minPairs, denseCap
-	t.Cleanup(func() { specChunk, specMinPairs, denseMaterializeCap = oldChunk, oldMin, oldCap })
+	t.Cleanup(TuneSpeculation(chunk, minPairs, denseCap))
 }
 
 // TestStreamParallelInsertEquivalence is the per-insertion property
@@ -38,16 +36,10 @@ func TestStreamParallelInsertEquivalence(t *testing.T) {
 	}
 }
 
-// TestStreamParallelDenseEquivalence repeats the per-insertion test
-// with an all-similarity rule set (every rule scans densely) and a tiny
-// materialization cap, so both dense paths — materialized ord codes
-// through the chunked commit, and the bit-filter sweep through
-// scanDenseSpec — execute speculatively.
-func TestStreamParallelDenseEquivalence(t *testing.T) {
-	forceSpeculation(t, 8, 1, 4)
-	ctx, tuples := shuffledCredit(t, 15, 3)
+// denseSigma is an all-similarity rule set: every rule scans densely.
+func denseSigma(ctx schema.Pair) []core.MD {
 	d := similarity.DL(0.8)
-	sigma := []core.MD{
+	return []core.MD{
 		core.MustMD(ctx,
 			[]core.Conjunct{core.C("cno", d, "cno")},
 			[]core.AttrPair{core.P("fn", "fn"), core.P("ln", "ln"), core.P("dob", "dob")}),
@@ -55,7 +47,20 @@ func TestStreamParallelDenseEquivalence(t *testing.T) {
 			[]core.Conjunct{core.C("dob", d, "dob"), core.C("ln", d, "ln"), core.C("fn", d, "fn")},
 			[]core.AttrPair{core.P("tel", "tel"), core.P("email", "email")}),
 	}
-	checkStreamed(t, "parallel-dense", ctx, sigma, tuples, nil, WithWorkers(4))
+}
+
+// TestStreamParallelDenseEquivalence repeats the per-insertion test
+// with an all-similarity rule set and a tiny materialization cap, so
+// both dense paths — materialized ord codes through the blocked-scan
+// loop, and the bit-filter sweep — execute, serially at one worker and
+// speculatively at four.
+func TestStreamParallelDenseEquivalence(t *testing.T) {
+	forceSpeculation(t, 8, 1, 4)
+	ctx, tuples := shuffledCredit(t, 15, 3)
+	for _, workers := range []int{1, 4} {
+		checkStreamed(t, fmt.Sprintf("parallel-dense(workers=%d)", workers),
+			ctx, denseSigma(ctx), tuples, nil, WithWorkers(workers))
+	}
 }
 
 // TestStreamParallelBatchEquivalence checks InsertBatch under the
@@ -138,6 +143,50 @@ func TestStreamParallelCounters(t *testing.T) {
 		}
 		if !slices.Equal(e.RuleStats(), serial.RuleStats()) {
 			t.Errorf("%s: RuleStats = %v, serial = %v", label, e.RuleStats(), serial.RuleStats())
+		}
+	}
+}
+
+// TestSpeculationAccounting pins the evaluation accounting across the
+// parallel layer: verdict-cache misses plus the speculative fills
+// merged equal Stats().Chase.LHSEvaluations, every speculated pair
+// commits once (from its verdict or invalidated), and a serial
+// enforcer speculates nothing. Both rule shapes run, so the blocked
+// loop and the dense sweep both speculate.
+func TestSpeculationAccounting(t *testing.T) {
+	forceSpeculation(t, 16, 1, 4)
+	ctx, tuples := shuffledCredit(t, 18, 3)
+	for _, rs := range []struct {
+		name  string
+		sigma []core.MD
+	}{{"dedup", gen.DedupMDs(ctx)}, {"dense", denseSigma(ctx)}} {
+		for _, workers := range []int{1, 4} {
+			label := fmt.Sprintf("%s/workers=%d", rs.name, workers)
+			e, err := New(ctx, rs.sigma, WithWorkers(workers))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, tup := range tuples {
+				if _, err := e.InsertTuple(tup); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, misses := e.CacheStats()
+			sp := e.SpeculationStats()
+			if evals := e.Stats().Chase.LHSEvaluations; misses+sp.Fills != evals {
+				t.Errorf("%s: cache misses %d + speculative fills %d != LHSEvaluations %d",
+					label, misses, sp.Fills, evals)
+			}
+			if sp.Speculated != sp.Committed+sp.Invalidated {
+				t.Errorf("%s: speculated %d != committed %d + invalidated %d",
+					label, sp.Speculated, sp.Committed, sp.Invalidated)
+			}
+			if workers == 1 && sp != (SpeculationStats{}) {
+				t.Errorf("%s: serial enforcer reports speculation %+v", label, sp)
+			}
+			if workers > 1 && (sp.Committed == 0 || sp.Fills == 0) {
+				t.Errorf("%s: speculation forced on but did not engage: %+v", label, sp)
+			}
 		}
 	}
 }

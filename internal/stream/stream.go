@@ -224,14 +224,11 @@ type Enforcer struct {
 
 	applied []int // rule indices fired during the current insertion
 
-	// Parallel chase state (see parallel.go): worker count, speculator,
-	// incremental dictionary warm-up cursors, and the operator
-	// evaluations performed by speculation workers (merged fills), which
-	// the caches' own counters never saw.
-	workers   int
-	spec      *speculator
-	warm      []warmEntry
-	specEvals int64
+	// Parallel chase state (see parallel.go): worker count, speculator
+	// (nil at one worker) and incremental dictionary warm-up cursors.
+	workers int
+	spec    *speculator
+	warm    []warmEntry
 
 	// pending counts insert operations in flight (queued on the
 	// insertion lock or chasing); a service's admission control reads it
@@ -598,10 +595,11 @@ func (e *Enforcer) RuleStats() []RuleStat {
 
 // CacheStats returns the cumulative verdict-cache traffic across every
 // similarity conjunct: lookups, and the misses that evaluated their
-// operator. Under a serial chase misses equal
-// Stats().Chase.LHSEvaluations (a parallel chase counts its merged
-// speculative evaluations there too); like it, they are excluded from
-// recovery equivalence (caches rebuild cold).
+// operator. Misses plus SpeculationStats().Fills are the operator
+// evaluations Stats().Chase.LHSEvaluations counts (fills are 0 under a
+// serial chase; a restored enforcer adds them to its restored count);
+// like it, they are excluded from recovery equivalence (caches rebuild
+// cold).
 func (e *Enforcer) CacheStats() (lookups, misses int64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -727,9 +725,12 @@ func (e *Enforcer) run() (apps, passes int, err error) {
 }
 
 func (e *Enforcer) operatorEvaluations() int64 {
-	// specEvals are the evaluations speculation workers performed and
-	// MergeFills accepted; the caches' own counters never saw them.
-	total := e.specEvals
+	// Speculative fills are evaluations speculation workers performed
+	// and MergeFills accepted; the caches' own counters never saw them.
+	var total int64
+	if sp := e.spec; sp != nil {
+		total = sp.stats.Fills
+	}
 	for _, c := range e.conjs {
 		total += c.Evaluations()
 	}
@@ -892,20 +893,29 @@ func (e *Enforcer) scanRule(r *ruleState) bool {
 	e.base, e.baseIdx = base, 0
 	e.over, e.overSet = &over, make(map[int64]struct{})
 	e.curOrd = -1
-	if e.spec != nil && len(base) >= specMinPairs {
-		fired := e.commitBlockedSpec(r)
-		e.ordScratch = base[:0]
-		e.scanning = nil
-		e.base, e.baseIdx = nil, 0
-		e.over, e.overSet = nil, nil
-		return fired
-	}
+	// Speculating, the base entries are speculated a chunk at a time as
+	// the cursor reaches the end of the last chunk; overflow-heap entries
+	// (mid-scan re-enqueues, rare) are never speculated.
+	spec := e.spec != nil && len(base) >= specMinPairs
+	var (
+		epoch      int64
+		verdicts   []uint8
+		start, end int
+	)
 	fired := false
 	for {
 		var ord int64
+		v := specNone
 		switch {
-		case e.baseIdx < len(e.base) && (over.Len() == 0 || e.base[e.baseIdx] < over[0]):
-			ord = e.base[e.baseIdx]
+		case e.baseIdx < len(base) && (over.Len() == 0 || base[e.baseIdx] < over[0]):
+			if spec {
+				if e.baseIdx == end {
+					start, end = e.baseIdx, min(e.baseIdx+specChunk, len(base))
+					epoch, verdicts = e.speculate(r, base[start:end])
+				}
+				v = verdicts[e.baseIdx-start]
+			}
+			ord = base[e.baseIdx]
 			e.baseIdx++
 		case over.Len() > 0:
 			ord = heap.Pop(&over).(int64)
@@ -918,7 +928,7 @@ func (e *Enforcer) scanRule(r *ruleState) bool {
 			return fired
 		}
 		e.curOrd = ord
-		if e.visit(r, int(ord/n), int(ord%n)) {
+		if e.commitPair(r, int(ord/n), int(ord%n), v, epoch) {
 			fired = true
 		}
 	}
@@ -933,7 +943,12 @@ var denseMaterializeCap = int64(1) << 20
 // grid with side membership filters, exactly like the batch worklist's
 // filtered scan: the boolean check is orders of magnitude cheaper than
 // a verdict lookup, and both filters are re-read per cell so mid-row
-// touches widen the scan for the current row too.
+// touches widen the scan for the current row too. Speculating, the
+// sweep speculates a block of rows as it enters the block; cells outside
+// the filters at that point carry specNone, and a filter a commit
+// widens mid-block is caught twice over: the widening touch stamps the
+// row, and the commit re-reads the filters exactly where the serial
+// sweep does.
 func (e *Enforcer) scanDenseSweep(r *ruleState, n int) bool {
 	e.scanning = r
 	e.bitsL = make([]bool, n)
@@ -946,27 +961,35 @@ func (e *Enforcer) scanDenseSweep(r *ruleState, n int) bool {
 	}
 	clear(r.dirtyL)
 	clear(r.dirtyR)
+	rows := 0 // rows per speculated block; 0 sweeps serially
 	if e.spec != nil && int64(n)*int64(n) >= int64(specMinPairs) {
-		fired := e.scanDenseSpec(r, n)
-		e.scanning = nil
-		e.bitsL, e.bitsR = nil, nil
-		return fired
+		rows = max(specChunk/n, 1)
 	}
+	var (
+		epoch    int64
+		verdicts []uint8
+		r0, r1   int
+	)
 	fired := false
 	for i1 := 0; i1 < n; i1++ {
+		if rows > 0 && i1 == r1 {
+			r0, r1 = i1, min(i1+rows, n)
+			epoch, verdicts = e.speculateRows(r, r0, r1, n)
+		}
+		row := (i1 - r0) * n
 		if !e.bitsL[i1] {
 			for i2 := 0; i2 < n; i2++ {
 				if !e.bitsR[i2] && !e.bitsL[i1] {
 					continue
 				}
-				if e.visit(r, i1, i2) {
+				if e.commitPair(r, i1, i2, verdictAt(verdicts, row+i2), epoch) {
 					fired = true
 				}
 			}
 			continue
 		}
 		for i2 := 0; i2 < n; i2++ {
-			if e.visit(r, i1, i2) {
+			if e.commitPair(r, i1, i2, verdictAt(verdicts, row+i2), epoch) {
 				fired = true
 			}
 		}
@@ -976,12 +999,21 @@ func (e *Enforcer) scanDenseSweep(r *ruleState, n int) bool {
 	return fired
 }
 
+// verdictAt is the speculative verdict of a dense-sweep cell, specNone
+// when the sweep is not speculating.
+func verdictAt(verdicts []uint8, k int) uint8 {
+	if verdicts == nil {
+		return specNone
+	}
+	return verdicts[k]
+}
+
 // visit evaluates one candidate (rule, pair) and fires on a violation.
 // The whole decision runs on interned ids; strings are only read on a
 // verdict-cache miss. The effects — counters, cluster links, RHS
 // identifications, provenance — are applied through the commit-point
-// helpers in provenance.go, shared with the parallel chase's
-// commitPair so both paths observe identical sequences.
+// helpers in provenance.go, shared with commitPair's commit from a
+// speculative verdict so both paths observe identical sequences.
 func (e *Enforcer) visit(r *ruleState, i1, i2 int) bool {
 	e.noteExamined(r)
 	for ci := range r.lhs {
