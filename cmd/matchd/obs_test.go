@@ -153,6 +153,15 @@ func TestMetricsConformance(t *testing.T) {
 			t.Fatalf("speculation family lacks outcome %q: %v", o, outcomes)
 		}
 	}
+	// Per-structure memory gauges: the stream's verdict caches hold
+	// the initial load's verdicts.
+	structures := map[string]float64{}
+	for _, s := range byName["mdmatch_memory_bytes"].Samples {
+		structures[s.Labels["structure"]] = s.Value
+	}
+	if got := structures["stream_verdict_cache"]; got <= 0 {
+		t.Fatalf("mdmatch_memory_bytes{structure=\"stream_verdict_cache\"} = %v (samples %v)", got, structures)
+	}
 	// HTTP middleware families, fed by the requests above.
 	var reqTotal float64
 	reqFam := byName["matchd_http_requests_total"]

@@ -211,6 +211,10 @@ func (o *StreamObserver) AttachStream(e *stream.Enforcer) {
 	reg.CollectCounter("mdmatch_stream_verdict_cache_misses_total",
 		"Verdict-cache misses (actual similarity-operator evaluations).", nil,
 		func(emit Emit) { _, misses := e.CacheStats(); emit(float64(misses)) })
+	reg.CollectGauge("mdmatch_memory_bytes",
+		"Estimated heap bytes held, per structure.",
+		[]string{"structure"},
+		func(emit Emit) { emit(float64(e.CacheBytes()), "stream_verdict_cache") })
 }
 
 // StoreObserver instruments a store.Store: WAL append and snapshot

@@ -15,7 +15,7 @@ type conjKind uint8
 const (
 	kindEq     conjKind = iota // equality: integer id comparison
 	kindSdx                    // Soundex equivalence: interned code ids
-	kindCached                 // memoized through a growable values.Cache
+	kindCached                 // memoized through a values.Cache
 )
 
 // conjExec is one LHS conjunct compiled against the interned store. The
@@ -120,7 +120,7 @@ func (r *ruleState) refresh(e *Enforcer) {
 }
 
 // compile validates Σ and builds the persistent rule states, the shared
-// column-group dictionaries and the growable verdict caches.
+// column-group dictionaries and the verdict caches.
 func (e *Enforcer) compile() error {
 	arity := e.ctx.Left.Arity()
 
@@ -191,9 +191,24 @@ func (e *Enforcer) compile() error {
 	}
 	e.cols = values.NewColumns(dicts)
 
-	// Growable verdict caches for the distinct non-encodable conjuncts;
-	// the value universe grows with every insertion, so the fixed 2-bit
-	// matrices of the batch chase do not apply here.
+	// Verdict caches for the distinct non-encodable conjuncts. Both
+	// columns of a conjunct share one dictionary, and the chase never
+	// invents values, so a triangular 2-bit matrix grown once per
+	// enforcement (run) covers every pair a chase can look up. A
+	// conjunct of a dense rule — one without equality or Soundex seeds
+	// — gets that matrix: its rule compares every new value against
+	// every stored one, so most of the triangle is visited. Conjuncts
+	// of blocked rules only see pairs inside join blocks; their key
+	// space is sparse and stays on the map backend.
+	dense := make(map[conjKey]bool)
+	for i := range mds {
+		if mds[i].nEnc > 0 {
+			continue
+		}
+		for _, c := range mds[i].lhs {
+			dense[conjKey{lcol: c.Left, rcol: c.Right, op: c.Op.Name()}] = true
+		}
+	}
 	e.conjs = make(map[conjKey]*values.Cache)
 	for i := range mds {
 		for ci, c := range mds[i].lhs {
@@ -201,7 +216,12 @@ func (e *Enforcer) compile() error {
 				continue
 			}
 			id := conjKey{lcol: c.Left, rcol: c.Right, op: c.Op.Name()}
-			if _, ok := e.conjs[id]; !ok {
+			if _, ok := e.conjs[id]; ok {
+				continue
+			}
+			if dense[id] {
+				e.conjs[id] = values.NewGrowableCache(c.Op, dicts[c.Left])
+			} else {
 				e.conjs[id] = values.NewCache(c.Op, dicts[c.Left], dicts[c.Right])
 			}
 		}

@@ -33,13 +33,23 @@ type parallelSection struct {
 
 func mergeParallelSection(t *testing.T, path string, section parallelSection) {
 	t.Helper()
+	mergeReport(t, path, map[string]any{"parallel": section})
+	t.Logf("merged parallel section into %s", path)
+}
+
+// mergeReport writes fields as top-level keys of the JSON document at
+// path, keeping every other key (the sections other harnesses own).
+func mergeReport(t *testing.T, path string, fields map[string]any) {
+	t.Helper()
 	doc := map[string]any{}
 	if data, err := os.ReadFile(path); err == nil {
 		if err := json.Unmarshal(data, &doc); err != nil {
 			t.Fatalf("existing %s is not JSON: %v", path, err)
 		}
 	}
-	doc["parallel"] = section
+	for k, v := range fields {
+		doc[k] = v
+	}
 	data, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +58,6 @@ func mergeParallelSection(t *testing.T, path string, section parallelSection) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("merged parallel section into %s", path)
 }
 
 // TestWriteParallelStreamReport measures the incremental chase — every

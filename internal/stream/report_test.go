@@ -65,9 +65,10 @@ type equivFlags struct {
 
 // TestWriteStreamBenchReport measures streaming-insert latency against
 // the full re-chase alternative across dataset sizes and writes the
-// result as JSON. It is skipped unless BENCH_STREAM_OUT names the
-// output file (wired up as `make bench-stream`), so regular test runs
-// stay fast. BENCH_STREAM_K overrides the largest corpus scale.
+// result as JSON, keeping the file's other sections. It is skipped
+// unless BENCH_STREAM_OUT names the output file (wired up as
+// `make bench-stream`), so regular test runs stay fast. BENCH_STREAM_K
+// overrides the largest corpus scale.
 func TestWriteStreamBenchReport(t *testing.T) {
 	out := os.Getenv("BENCH_STREAM_OUT")
 	if out == "" {
@@ -81,17 +82,18 @@ func TestWriteStreamBenchReport(t *testing.T) {
 		}
 		maxK = n
 	}
+	credit := gen.CreditSchema()
 	report := streamReport{
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
 		GoVersion:   runtime.Version(),
 		MaxProcs:    runtime.GOMAXPROCS(0),
-		Sigma:       "gen.DedupMDs (5 rules: 2 blockable, 1 soundex-seeded, 2 dense)",
+		Sigma:       "gen.DedupMDs (" + sigmaShape(gen.DedupMDs(schema.MustPair(credit, credit))) + ")",
 	}
 	for _, k := range []int{maxK / 8, maxK / 4, maxK / 2, maxK} {
 		if k < 50 {
 			continue
 		}
-		// Full rule set: the two dense rules put an Θ(records) floor
+		// Full rule set: the dense rules put an Θ(records) floor
 		// under every insert (a new card number must be compared against
 		// every distinct one); the blockable-only set shows the
 		// frontier-seeded regime, where per-insert latency is governed by
@@ -104,17 +106,39 @@ func TestWriteStreamBenchReport(t *testing.T) {
 	// must reproduce the batch chase bit-exactly.
 	report.Equivalence = checkEquivFlags(t, maxK/8)
 
-	f, err := os.Create(out)
+	// The parallel and scale sections belong to other harnesses.
+	data, err := json.Marshal(report)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(report); err != nil {
+	fields := map[string]any{}
+	if err := json.Unmarshal(data, &fields); err != nil {
 		t.Fatal(err)
 	}
+	mergeReport(t, out, fields)
 	t.Logf("wrote %s", out)
+}
+
+// sigmaShape counts Σ's rules by how the chase seeds them: from an
+// equality join key, from a Soundex join key only, or densely (no
+// hash-encodable conjunct).
+func sigmaShape(sigma []core.MD) string {
+	var eq, sdx int
+	for _, md := range sigma {
+		hasEq, hasSdx := false, false
+		for _, c := range md.LHS {
+			hasEq = hasEq || similarity.IsEq(c.Op)
+			hasSdx = hasSdx || c.Op.Name() == "soundex"
+		}
+		switch {
+		case hasEq:
+			eq++
+		case hasSdx:
+			sdx++
+		}
+	}
+	return fmt.Sprintf("%d rules: %d dense, %d equality-blocked, %d soundex-seeded",
+		len(sigma), len(sigma)-eq-sdx, eq, sdx)
 }
 
 // blockableOnly keeps the rules with at least one hash-encodable
@@ -303,5 +327,15 @@ func BenchmarkStreamInsert(b *testing.B) {
 		if _, err := e.Insert(next+i, tup.Values); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestSigmaShape pins the rule-shape label BENCH_stream.json records
+// for gen.DedupMDs.
+func TestSigmaShape(t *testing.T) {
+	credit := gen.CreditSchema()
+	got := sigmaShape(gen.DedupMDs(schema.MustPair(credit, credit)))
+	if want := "7 rules: 3 dense, 3 equality-blocked, 1 soundex-seeded"; got != want {
+		t.Fatalf("sigmaShape(DedupMDs) = %q, want %q", got, want)
 	}
 }

@@ -12,9 +12,10 @@
 //
 //   - the interned value store persists: per-column-group values.Dict
 //     dictionaries keep growing, conjunct verdicts accumulate in
-//     growable values.Cache memos (map backend — the value universe is
-//     no longer fixed, so the batch chase's 2-bit matrices do not
-//     apply), and the instance stays dictionary-encoded in a
+//     values.Cache memos (the batch chase's 2-bit triangular matrix,
+//     grown by appended rows once per enforcement, for conjuncts of
+//     dense rules; the map backend for the sparse keys of blocked
+//     rules), and the instance stays dictionary-encoded in a
 //     values.Columns view;
 //   - each rule's blocking-style join indexes over its hash-encodable
 //     conjuncts persist, maintained under the chase's touch callback;
@@ -610,6 +611,18 @@ func (e *Enforcer) CacheStats() (lookups, misses int64) {
 	return lookups, misses
 }
 
+// CacheBytes estimates the heap held by the verdict caches: matrix
+// words plus map entries (see values.Cache.Bytes).
+func (e *Enforcer) CacheBytes() int64 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	var total int64
+	for _, c := range e.conjs {
+		total += c.Bytes()
+	}
+	return total
+}
+
 // append adds one record everywhere growth happens: the instance, the
 // columnar interned view, the cell union-find, the cluster store, every
 // rule's join indexes and dirty frontier. Batch callers append all row
@@ -693,10 +706,16 @@ func (e *Enforcer) takeApplied() []int {
 // pass-structured rounds, until a full round fires nothing. It returns
 // the applications and passes of this enforcement.
 func (e *Enforcer) run() (apps, passes int, err error) {
+	// The chase adds no rows and invents no values, so growing the
+	// verdict matrices once per enforcement covers every ID it can look
+	// up, and speculation workers only ever Peek (pure reads).
+	for _, c := range e.conjs {
+		c.Grow()
+	}
 	if sp := e.spec; sp != nil {
 		// Workers must never trigger first-use memoization or index a
-		// stamp out of range; the chase itself adds no rows and invents
-		// no values, so warming and sizing once per enforcement suffices.
+		// stamp out of range; warming and sizing once per enforcement
+		// suffices for the same reason.
 		e.warmNew()
 		sp.growStamps(e.inst.Len())
 	}

@@ -641,9 +641,62 @@ func TestStreamConcurrentReads(t *testing.T) {
 		e.ClusterOf(tuples[i%len(tuples)].ID)
 		e.Record(tuples[i%len(tuples)].ID)
 		e.Len()
+		e.CacheBytes()
 	}
 	<-done
 	if e.Len() != len(tuples) {
 		t.Fatalf("Len = %d, want %d", e.Len(), len(tuples))
+	}
+}
+
+// TestCacheBackendChoice pins which verdict caches get the growable
+// triangular matrix: the conjuncts of dense rules (no equality or
+// Soundex seed), grown over the whole dictionary at every enforcement.
+// Conjuncts that only blocked rules read keep the map backend — with
+// the blockable-only Σ (the soak's rule shapes), every one of them.
+func TestCacheBackendChoice(t *testing.T) {
+	ctx, tuples := shuffledCredit(t, 25, 1)
+	full := gen.DedupMDs(ctx)
+	for _, tc := range []struct {
+		name   string
+		sigma  []core.MD
+		matrix []string // columns whose DL conjunct gets the matrix
+		conjs  int
+	}{
+		{"DedupMDs", full, []string{"cno", "ln", "dob", "fn", "street"}, 5},
+		{"blockable-only", blockableOnly(full), nil, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, err := New(ctx, tc.sigma)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(e.conjs) != tc.conjs {
+				t.Fatalf("%d verdict caches, want %d", len(e.conjs), tc.conjs)
+			}
+			matrix := map[int]bool{}
+			for _, name := range tc.matrix {
+				col, _ := ctx.Left.Index(name)
+				matrix[col] = true
+			}
+			for _, tup := range tuples {
+				if _, err := e.InsertTuple(tup); err != nil {
+					t.Fatal(err)
+				}
+				for k, c := range e.conjs {
+					want := 0
+					if matrix[k.lcol] {
+						want = e.cols.Dict(k.lcol).Len()
+					}
+					if c.Rows() != want {
+						t.Fatalf("after record %d: %s conjunct on column %d covers %d rows, want %d",
+							tup.ID, k.op, k.lcol, c.Rows(), want)
+					}
+				}
+			}
+			if e.CacheBytes() <= 0 {
+				t.Fatalf("CacheBytes = %d after %d inserts", e.CacheBytes(), len(tuples))
+			}
+		})
 	}
 }

@@ -88,7 +88,7 @@ func TestOperatorAxioms(t *testing.T) {
 	}
 }
 
-// TestCacheMatchesOperator checks both cache backends against direct
+// TestCacheMatchesOperator checks every cache backend against direct
 // operator evaluation on every ID pair of shared and split
 // dictionaries: memoization plus key canonicalization must be
 // invisible.
@@ -100,9 +100,12 @@ func TestCacheMatchesOperator(t *testing.T) {
 		for _, v := range vals {
 			shared.Intern(v)
 		}
+		growable := NewGrowableCache(op, shared)
+		growable.Grow()
 		for _, c := range []*Cache{
 			NewFixedCache(op, shared, shared, 0),
 			NewCache(op, shared, shared),
+			growable,
 		} {
 			if c == nil {
 				t.Fatalf("%s: fixed cache unexpectedly over cap", op.Name())

@@ -1,13 +1,15 @@
 package values
 
 import (
+	"math"
+
 	"mdmatch/internal/similarity"
 )
 
-// DefaultMaxCombos caps a fixed verdict matrix's size (2 bits per
-// combo: 1<<26 combos = 16 MiB). Conjuncts whose value universes
+// DefaultMaxCombos caps a verdict matrix's size (2 bits per combo:
+// 1<<26 combos = 16 MiB). Fixed conjuncts whose value universes
 // multiply out beyond the cap evaluate uncached (NewFixedCache returns
-// nil).
+// nil); a growable matrix stops growing at it.
 const DefaultMaxCombos = int64(1) << 26
 
 // MapMaxEntries caps the growable map backend. Live dictionaries (a
@@ -17,6 +19,11 @@ const DefaultMaxCombos = int64(1) << 26
 // cache to roughly tens of MB while keeping every already-cached pair
 // fast.
 const MapMaxEntries = 1 << 20
+
+// mapEntryBytes estimates the heap cost of one map-backend entry
+// (map[uint64]bool): a 16-byte slot plus control byte over the table's
+// load factor, measured at 24–36 bytes per entry on go1.24.
+const mapEntryBytes = 28
 
 // Cache memoizes one similarity operator's verdicts over the value IDs
 // of a dictionary pair. Verdicts are pure functions of the two values,
@@ -29,23 +36,37 @@ const MapMaxEntries = 1 << 20
 // cache. With distinct dictionaries the key is the plain (left, right)
 // pair.
 //
-// Two backends exist: a fixed 2-bit triangular/rectangular matrix for
-// finalized dictionaries (the chase's fixed value universe — two array
-// reads per hit), and a growable map for dictionaries that keep
-// interning (the serving engine). A Cache is not safe for concurrent
-// use; concurrent callers must hold their own lock.
+// Three layouts exist, all 2 bits per combo (known flag, verdict) where
+// a matrix is used:
+//
+//   - triangular (shared dictionary, NewFixedCache or NewGrowableCache):
+//     offset b(b+1)/2 + a for a <= b is row-major by the larger ID, so
+//     a new ID appends a row and existing offsets never move. Grow
+//     extends the rows to the dictionary's current length, up to
+//     DefaultMaxCombos combos (about 11.6k rows); pairs whose larger ID
+//     lies past the grown rows fall through to the capped map;
+//   - rectangular (two finalized dictionaries, NewFixedCache): the
+//     fixed (left, right) grid;
+//   - map only (NewCache): dictionaries that keep interning and whose
+//     key space is sparse (the serving engine's query side).
+//
+// A Cache is not safe for concurrent use; concurrent callers must hold
+// their own lock (Peek alone performs no writes).
 type Cache struct {
 	op          similarity.Operator
 	rop         similarity.RuneSimilar // non-nil: evaluate on decoded runes
 	left, right *Dict
 	shared      bool
 
-	// fixed matrix backend (2 bits per combo: known flag, verdict)
-	bits   []uint64
-	stride int64 // rectangular: right size; 0 selects the map backend
-	tri    bool
+	// matrix backend (2 bits per combo: known flag, verdict)
+	bits []uint64
+	// triangular: IDs below rows are covered; Grow stops at maxRows
+	// (0: the cache has no triangular matrix).
+	rows, maxRows int64
+	// rectangular: the right dictionary's size (0: not rectangular).
+	stride int64
 
-	// growable map backend
+	// map backend: every pair no matrix covers
 	m map[uint64]bool
 	// maxEntries caps m (MapMaxEntries unless NewCacheCapped chose
 	// otherwise); beyond it verdicts are recomputed, not stored.
@@ -67,7 +88,6 @@ func NewCache(op similarity.Operator, left, right *Dict) *Cache {
 // selects MapMaxEntries.
 func NewCacheCapped(op similarity.Operator, left, right *Dict, maxEntries int) *Cache {
 	c := newCache(op, left, right)
-	c.m = make(map[uint64]bool)
 	if maxEntries <= 0 {
 		maxEntries = MapMaxEntries
 	}
@@ -75,32 +95,44 @@ func NewCacheCapped(op similarity.Operator, left, right *Dict, maxEntries int) *
 	return c
 }
 
+// NewGrowableCache builds a triangular-matrix cache over one shared
+// dictionary that keeps interning. The matrix starts empty: the owner
+// calls Grow after interning to cover the new IDs; until then their
+// pairs use the map backend.
+func NewGrowableCache(op similarity.Operator, dict *Dict) *Cache {
+	c := NewCache(op, dict, dict)
+	c.maxRows = maxTriRows(DefaultMaxCombos)
+	return c
+}
+
 // NewFixedCache builds a matrix-backed cache over the dictionaries'
-// current contents, which must be final (IDs interned later index out
-// of range). maxCombos <= 0 selects DefaultMaxCombos; when the universe
-// product exceeds the cap, nil is returned and the caller should
-// evaluate uncached.
+// current contents. maxCombos <= 0 selects DefaultMaxCombos; when the
+// universe exceeds the cap, nil is returned and the caller should
+// evaluate uncached. A shared dictionary gets the triangular matrix,
+// grown once here (pairs with IDs interned later use the map backend);
+// two dictionaries get the rectangular grid, which must be final (IDs
+// interned later index out of range).
 func NewFixedCache(op similarity.Operator, left, right *Dict, maxCombos int64) *Cache {
 	if maxCombos <= 0 {
 		maxCombos = DefaultMaxCombos
 	}
-	c := newCache(op, left, right)
-	var combos int64
-	if c.shared {
+	if left == right {
 		n := int64(left.Len())
-		combos = n * (n + 1) / 2
-		c.tri = true
-	} else {
-		combos = int64(left.Len()) * int64(right.Len())
-		c.stride = int64(right.Len())
+		if n == 0 || n*(n+1)/2 > maxCombos {
+			return nil
+		}
+		c := NewCache(op, left, right)
+		c.maxRows = n
+		c.Grow()
+		return c
 	}
+	combos := int64(left.Len()) * int64(right.Len())
 	if combos == 0 || combos > maxCombos {
 		return nil
 	}
-	c.bits = make([]uint64, (2*combos+63)/64)
-	if !c.tri && c.stride == 0 {
-		c.stride = 1 // unreachable (combos == 0 above), defensive
-	}
+	c := newCache(op, left, right)
+	c.stride = int64(right.Len())
+	c.bits = make([]uint64, words(combos))
 	return c
 }
 
@@ -112,12 +144,88 @@ func newCache(op similarity.Operator, left, right *Dict) *Cache {
 	return c
 }
 
-// offset maps a canonicalized ID pair to its bit offset in the matrix.
+// maxTriRows is the largest row count whose triangle fits maxCombos.
+func maxTriRows(maxCombos int64) int64 {
+	n := int64(math.Sqrt(float64(2 * maxCombos)))
+	for n*(n+1)/2 > maxCombos {
+		n--
+	}
+	return n
+}
+
+// words is the number of uint64 words holding combos 2-bit slots.
+func words(combos int64) int64 { return (2*combos + 63) / 64 }
+
+// Grow extends a triangular matrix to cover every ID the dictionary has
+// interned, up to the cache's row cap, and moves the map's verdicts for
+// newly covered pairs into it. Existing offsets never move: the new
+// rows are appended, zeroed (unknown), with amortized reallocation.
+// It is a no-op on caches without a triangular matrix. Grow writes the
+// cache, so it must not overlap any other use of it.
+func (c *Cache) Grow() {
+	rows := min(int64(c.left.Len()), c.maxRows)
+	if rows <= c.rows {
+		return
+	}
+	need := words(rows * (rows + 1) / 2)
+	if need > int64(cap(c.bits)) {
+		nc := min(max(need, 2*int64(cap(c.bits))), words(c.maxRows*(c.maxRows+1)/2))
+		bits := make([]uint64, need, nc)
+		copy(bits, c.bits)
+		c.bits = bits
+	} else {
+		c.bits = c.bits[:need] // never-written words: still zero
+	}
+	old := c.rows
+	c.rows = rows
+	for key, verdict := range c.m {
+		if b := int64(key & 0xffffffff); b >= old && b < rows {
+			c.setBit(c.offset(ID(key>>32), ID(b)), verdict)
+			delete(c.m, key)
+		}
+	}
+}
+
+// Rows returns how many dictionary IDs the triangular matrix covers (0
+// for map-only and rectangular caches).
+func (c *Cache) Rows() int { return int(c.rows) }
+
+// Bytes estimates the heap the cache holds: its matrix words plus its
+// map entries.
+func (c *Cache) Bytes() int64 {
+	return int64(cap(c.bits))*8 + int64(len(c.m))*mapEntryBytes
+}
+
+// offset maps a canonicalized ID pair to its bit offset in the matrix,
+// or -1 when no matrix covers the pair.
 func (c *Cache) offset(a, b ID) int64 {
-	if c.tri {
+	if int64(b) < c.rows {
 		return (int64(b)*(int64(b)+1)/2 + int64(a)) * 2
 	}
-	return (int64(a)*c.stride + int64(b)) * 2
+	if c.stride != 0 {
+		return (int64(a)*c.stride + int64(b)) * 2
+	}
+	return -1
+}
+
+// setBit records a verdict at a matrix offset.
+func (c *Cache) setBit(off int64, verdict bool) {
+	m := uint64(1) << uint(off&63)
+	if verdict {
+		m |= m << 1
+	}
+	c.bits[off>>6] |= m
+}
+
+// storeMap records a verdict in the map backend while under its cap.
+func (c *Cache) storeMap(a, b ID, verdict bool) {
+	if len(c.m) >= c.maxEntries {
+		return
+	}
+	if c.m == nil {
+		c.m = make(map[uint64]bool)
+	}
+	c.m[uint64(a)<<32|uint64(b)] = verdict
 }
 
 // Similar returns the memoized verdict of the operator on the two
@@ -133,28 +241,20 @@ func (c *Cache) Similar(a, b ID) bool {
 			a, b = b, a // symmetry: canonical (min, max) key
 		}
 	}
-	if c.bits != nil {
-		off := c.offset(a, b)
+	if off := c.offset(a, b); off >= 0 {
 		w := c.bits[off>>6] >> uint(off&63)
 		if w&1 != 0 {
 			return w&2 != 0
 		}
 		verdict := c.eval(a, b)
-		m := uint64(1) << uint(off&63)
-		if verdict {
-			m |= m << 1
-		}
-		c.bits[off>>6] |= m
+		c.setBit(off, verdict)
 		return verdict
 	}
-	key := uint64(a)<<32 | uint64(b)
-	if verdict, ok := c.m[key]; ok {
+	if verdict, ok := c.m[uint64(a)<<32|uint64(b)]; ok {
 		return verdict
 	}
 	verdict := c.eval(a, b)
-	if len(c.m) < c.maxEntries {
-		c.m[key] = verdict
-	}
+	c.storeMap(a, b, verdict)
 	return verdict
 }
 
@@ -171,18 +271,11 @@ func (c *Cache) Store(a, b ID, verdict bool) {
 			a, b = b, a
 		}
 	}
-	if c.bits != nil {
-		off := c.offset(a, b)
-		m := uint64(1) << uint(off&63)
-		if verdict {
-			m |= m << 1
-		}
-		c.bits[off>>6] |= m
+	if off := c.offset(a, b); off >= 0 {
+		c.setBit(off, verdict)
 		return
 	}
-	if len(c.m) < c.maxEntries {
-		c.m[uint64(a)<<32|uint64(b)] = verdict
-	}
+	c.storeMap(a, b, verdict)
 }
 
 // Peek returns the cached verdict without evaluating on a miss. It
@@ -197,8 +290,7 @@ func (c *Cache) Peek(a, b ID) (verdict, known bool) {
 			a, b = b, a
 		}
 	}
-	if c.bits != nil {
-		off := c.offset(a, b)
+	if off := c.offset(a, b); off >= 0 {
 		w := c.bits[off>>6] >> uint(off&63)
 		return w&2 != 0, w&1 != 0
 	}
