@@ -110,9 +110,9 @@ soak:
 		$(GO) test -tags scale -run TestSoakScale -count=1 -timeout 60m -v ./internal/engine/
 
 # soak-smoke is the CI tier of the same harness: 50k records, no report
-# rewrite, gated against the recorded 50k scale entry in
-# BENCH_store.json (fails on a >10% stall-p99 or heap-watermark
-# regression).
+# rewrite, three passes gated against the recorded 50k scale entry in
+# BENCH_store.json (fails on a >10% regression of the median stall p99
+# or of any pass's heap watermark).
 soak-smoke:
 	SOAK_RECORDS=50000 SOAK_GATE=$(CURDIR)/BENCH_store.json \
 		$(GO) test -tags scale -run TestSoakScale -count=1 -timeout 20m -v ./internal/engine/

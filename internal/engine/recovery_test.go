@@ -243,7 +243,7 @@ func TestRecoveryEquivalence(t *testing.T) {
 // sweep is TestRecoveryEquivalence's job; this pins that durability is
 // worker-count-independent.
 func TestRecoveryEquivalenceParallelChase(t *testing.T) {
-	restore := stream.TuneSpeculation(16, 1, 1<<20)
+	restore := stream.TuneSpeculation(16, 1)
 	defer restore()
 	ctx, sigma, ops := recHistory(t, 12, 1)
 	plan := selfMatchPlan(t, ctx)

@@ -46,9 +46,10 @@ import (
 //     deterministic;
 //   - with SOAK_STORE_OUT / SOAK_STREAM_OUT set, a "scale" section is
 //     merged into BENCH_store.json / BENCH_stream.json; with SOAK_GATE
-//     naming a recorded BENCH_store.json, the run fails if stall p99
-//     or the heap watermark regresses >10% against the recorded entry
-//     at the same record count.
+//     naming a recorded BENCH_store.json, the soak runs three passes
+//     and fails if the median stall p99 or any pass's heap watermark
+//     regresses >10% against the recorded entry at the same record
+//     count.
 const (
 	soakStallBudget = 50 * time.Millisecond
 	// 3.25 GiB, not 4: the acceptance ceiling is 4 GB of process RSS,
@@ -212,6 +213,33 @@ func TestSoakScale(t *testing.T) {
 	// layout that genuinely does not fit shows up as thrash/timeout
 	// rather than a lucky watermark sample between collections.
 	defer debug.SetMemoryLimit(debug.SetMemoryLimit(int64(soakHeapCeiling)))
+	// A gated run measures three ingest passes and gates the median
+	// stall p99: one pass's p99 on a shared host is mostly scheduler
+	// noise (see gateSoak).
+	passes := 1
+	if os.Getenv("SOAK_GATE") != "" {
+		passes = 3
+	}
+	runs := make([]soakRun, passes)
+	for i := range runs {
+		runs[i] = soakPass(t, n)
+		debug.FreeOSMemory() // release the pass's engine before the next one
+	}
+	gateSoak(t, n, runs)
+}
+
+// soakRun is what the gate reads from one measured ingest pass.
+type soakRun struct {
+	overall, stalled float64 // single-insert p99, snapshot-overlapped p99 (ms)
+	peakHeap         uint64
+}
+
+// soakPass runs one full soak over n records — a fresh engine and
+// store, three ingest phases separated by two kills — asserts its
+// budgets and recovery equivalence, writes the report sections when
+// asked, and returns the measurements the gate compares.
+func soakPass(t *testing.T, n int) soakRun {
+	t.Helper()
 	ds, err := gen.Generate(gen.DefaultConfig(500))
 	if err != nil {
 		t.Fatal(err)
@@ -495,7 +523,10 @@ func TestSoakScale(t *testing.T) {
 	}
 
 	writeSoakReports(t, n, ingestSec, overall, stalled, stats, eng)
-	gateSoak(t, n, overall, stalled, stats)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return soakRun{overall: overall, stalled: stalled, peakHeap: stats.peakHeap}
 }
 
 // --- scale sections + regression gate ---
@@ -587,10 +618,14 @@ func writeSoakReports(t *testing.T, n int, ingestSec, overall, stalled float64, 
 	}
 }
 
-// gateSoak compares this run against the recorded scale entry at the
-// same record count in the BENCH_store.json named by SOAK_GATE; a >10%
-// regression of stall p99 or the heap watermark fails the run.
-func gateSoak(t *testing.T, n int, overall, stalled float64, stats *soakStats) {
+// gateSoak compares the measured passes against the recorded scale
+// entry at the same record count in the BENCH_store.json named by
+// SOAK_GATE. The stall measure is max(stall p99, insert p99) per pass,
+// and its median over the passes must stay within 10% of the recorded
+// entry's (floored at 2 ms); a single pass's p99 on a shared host moves
+// by more than that between runs of one commit. Every pass's heap
+// watermark must stay within 10% of the recorded one.
+func gateSoak(t *testing.T, n int, runs []soakRun) {
 	t.Helper()
 	path := os.Getenv("SOAK_GATE")
 	if path == "" {
@@ -610,19 +645,27 @@ func gateSoak(t *testing.T, n int, overall, stalled float64, stats *soakStats) {
 		if rec.Records != n {
 			continue
 		}
+		stalls := make([]float64, len(runs))
+		var peakHeap uint64
+		for i, r := range runs {
+			stalls[i] = max(r.stalled, r.overall)
+			peakHeap = max(peakHeap, r.peakHeap)
+		}
+		slices.Sort(stalls)
 		// Floors keep the gate meaningful on sub-millisecond baselines:
 		// scheduler noise on a loaded CI box is not a regression.
-		p99Now, p99Rec := max(stalled, overall), max(rec.StallP99MS, rec.InsertP99MS)
+		p99Now, p99Rec := stalls[len(stalls)/2], max(rec.StallP99MS, rec.InsertP99MS)
 		if floor := 2.0; p99Rec < floor {
 			p99Rec = floor
 		}
 		if p99Now > 1.1*p99Rec {
-			t.Errorf("gate: stall p99 %.2fms is >10%% over the recorded %.2fms", p99Now, p99Rec)
+			t.Errorf("gate: median stall p99 %.2fms (passes %v) is >10%% over the recorded %.2fms", p99Now, stalls, p99Rec)
 		}
-		if heapRec := rec.HeapPeakBytes; heapRec > 0 && float64(stats.peakHeap) > 1.1*float64(heapRec) {
-			t.Errorf("gate: heap peak %d is >10%% over the recorded %d", stats.peakHeap, heapRec)
+		if heapRec := rec.HeapPeakBytes; heapRec > 0 && float64(peakHeap) > 1.1*float64(heapRec) {
+			t.Errorf("gate: heap peak %d is >10%% over the recorded %d", peakHeap, heapRec)
 		}
-		t.Logf("gate: checked against recorded entry (records=%d)", n)
+		t.Logf("gate: checked %d passes against recorded entry (records=%d): stall p99s %v ms, heap peak %d",
+			len(runs), n, stalls, peakHeap)
 		return
 	}
 	t.Logf("gate: no recorded scale entry at records=%d in %s; skipped", n, path)

@@ -33,6 +33,18 @@ type editOp struct {
 	name           string
 	theta          float64
 	transpositions bool // Damerau (OSA) vs plain Levenshtein
+	// maxDist[m] is maxDistFor(theta, m) for every m ≤ editStackRow,
+	// tabulated once when the operator is built so evaluations skip the
+	// binary search; longer values search as before.
+	maxDist *[editStackRow + 1]int8
+}
+
+func newEditOp(name string, theta float64, osa bool) editOp {
+	o := editOp{name: name, theta: theta, transpositions: osa, maxDist: new([editStackRow + 1]int8)}
+	for m := range o.maxDist {
+		o.maxDist[m] = int8(maxDistFor(theta, m))
+	}
+	return o
 }
 
 func (o editOp) Name() string { return o.name }
@@ -58,7 +70,7 @@ func (o editOp) SimilarRunes(ra, rb []rune) bool {
 	// k is the maximal edit distance that still satisfies the threshold,
 	// derived from the exact float predicate of the unfiltered scorer so
 	// the two paths can never disagree on boundary distances.
-	k := maxDistFor(o.theta, m)
+	k := o.limit(m)
 	if k < 0 {
 		return false
 	}
@@ -79,6 +91,14 @@ func equalRunes(a, b []rune) bool {
 		}
 	}
 	return true
+}
+
+// limit is maxDistFor(o.theta, m), from the table when m is covered.
+func (o editOp) limit(m int) int {
+	if m <= editStackRow {
+		return int(o.maxDist[m])
+	}
+	return maxDistFor(o.theta, m)
 }
 
 // maxDistFor returns the largest distance d in [0, m] with

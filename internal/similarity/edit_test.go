@@ -110,6 +110,23 @@ func TestEditOpLengthFilter(t *testing.T) {
 	}
 }
 
+// TestEditOpDistanceTable pins the tabulated distance bound: for every
+// length the table covers, and past it where the operator falls back to
+// the search, limit(m) equals maxDistFor(θ, m) across thresholds on
+// both sides of (0, 1) and for both edit operators.
+func TestEditOpDistanceTable(t *testing.T) {
+	for _, theta := range []float64{-1, 0, 0.3, 0.5, 0.75, 0.8, 0.85, 0.9, 0.95, 1, 1.5} {
+		for _, op := range []Operator{DL(theta), Lev(theta)} {
+			o := op.(editOp)
+			for m := 0; m <= editStackRow+8; m++ {
+				if got, want := o.limit(m), maxDistFor(theta, m); got != want {
+					t.Fatalf("%s: limit(%d) = %d, maxDistFor = %d", o.Name(), m, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestEditOpExtremeThetas covers thresholds outside (0, 1): θ > 1
 // accepts only equal values, θ ≤ 0 accepts everything.
 func TestEditOpExtremeThetas(t *testing.T) {

@@ -59,13 +59,13 @@ func (o funcOp) Similar(a, b string) bool {
 // exact for the threshold decision — and implements RuneSimilar for the
 // interned value store.
 func DL(theta float64) Operator {
-	return editOp{name: fmt.Sprintf("dl(%.2f)", theta), theta: theta, transpositions: true}
+	return newEditOp(fmt.Sprintf("dl(%.2f)", theta), theta, true)
 }
 
 // Lev returns a thresholded normalized-Levenshtein operator with the
 // same filtered banded evaluation as DL (minus transpositions).
 func Lev(theta float64) Operator {
-	return editOp{name: fmt.Sprintf("lev(%.2f)", theta), theta: theta}
+	return newEditOp(fmt.Sprintf("lev(%.2f)", theta), theta, false)
 }
 
 // JaroOp returns a thresholded Jaro operator.

@@ -45,8 +45,17 @@ func newChase(arity int) *chase {
 	}
 }
 
-// reset begins a new run: every cell is a singleton again.
+// reset begins a new run: every cell is a singleton again. Clearing a
+// map costs the capacity it ever grew to, so maps a large run (a batch
+// load) filled are replaced instead, and later per-insert runs clear
+// small ones.
 func (ch *chase) reset() {
+	if len(ch.parent) > 1024 {
+		ch.parent = make(map[int32]int32)
+		ch.value = make(map[int32]string)
+		ch.members = make(map[int32][]int32)
+		return
+	}
 	clear(ch.parent)
 	clear(ch.value)
 	clear(ch.members)

@@ -67,7 +67,7 @@ type ruleState struct {
 	seeds []seedExec
 	// dirtyL/dirtyR is the frontier: rows touched on relevant columns
 	// (or freshly inserted) since this rule last consumed them.
-	dirtyL, dirtyR map[int]struct{}
+	dirtyL, dirtyR rowSet
 	// idxL/idxR are the persistent join indexes (nil for dense rules).
 	idxL, idxR *sideIndex
 	// Cumulative per-rule telemetry (written under the enforcer's lock):
@@ -76,6 +76,31 @@ type ruleState struct {
 }
 
 func (r *ruleState) blockable() bool { return r.idxL != nil }
+
+// rowSet is one side of a rule's dirty frontier: the rows in insertion
+// order plus a membership flag per row, so adding and clearing cost
+// O(1) per member, not the capacity a batch load once grew.
+type rowSet struct {
+	rows []int
+	in   []bool
+}
+
+func (s *rowSet) add(i int) {
+	for len(s.in) <= i {
+		s.in = append(s.in, false)
+	}
+	if !s.in[i] {
+		s.in[i] = true
+		s.rows = append(s.rows, i)
+	}
+}
+
+func (s *rowSet) clear() {
+	for _, i := range s.rows {
+		s.in[i] = false
+	}
+	s.rows = s.rows[:0]
+}
 
 // key folds row ti's seed-field encodings on one side into a uint64
 // join key (side 0 keys the row as the pair's left tuple, side 1 as its
@@ -235,8 +260,6 @@ func (e *Enforcer) compile() error {
 			rhsCols: cm.rhs,
 			relL:    make([]bool, arity),
 			relR:    make([]bool, arity),
-			dirtyL:  make(map[int]struct{}),
-			dirtyR:  make(map[int]struct{}),
 		}
 		for ci, c := range cm.lhs {
 			ce := conjExec{lcol: c.Left, rcol: c.Right}

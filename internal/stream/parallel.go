@@ -13,14 +13,13 @@ import (
 //
 // The chase is ORDER-SENSITIVE (enforcement is not confluent), so the
 // firing sequence of the serial scan is the contract — the parallel
-// chase must produce the exact same sequence. The two scan loops of
-// stream.go (scanRule's base/overflow-heap merge and scanDenseSweep's
-// filter sweep) each run in one of two modes. Serial, every candidate
-// is visited. Speculating, the loop works chunk by chunk:
+// chase must produce the exact same sequence. Blocked scans (scanRule's
+// base/overflow-heap merge in stream.go) run in one of two modes.
+// Serial, every candidate is visited. Speculating, the loop works chunk
+// by chunk:
 //
 //  1. As the scan cursor reaches the end of the last chunk, take the
-//     next chunk of candidates: specChunk base entries, or a block of
-//     grid rows holding about specChunk cells.
+//     next specChunk base entries.
 //  2. PARALLEL PHASE: workers evaluate each candidate's full verdict —
 //     LHS conjuncts and the RHS-differs check — on pure reads (interned
 //     id slices, pre-warmed derived forms, verdict-cache Peeks). Cache
@@ -51,6 +50,12 @@ import (
 // LHSEvaluations may exceed the serial count by speculations a
 // same-chunk commit made unreachable; it is never lower.
 //
+// Dense scans (scanDense) never speculate. Their per-insert frontier is
+// a thin cross — the new row and column — of mostly warm verdict
+// lookups, so a phase's fan-out, barrier and verdict buffer cost more
+// than the lookups they overlap: speculating them made a warm K=1000
+// enforcer's mean insert a third slower at two workers than serial.
+//
 // One observable difference from workers == 1 exists outside the
 // contract: derived Soundex code ids are assigned in dictionary order
 // by pre-warming rather than in first-use order, so blockable rules'
@@ -61,39 +66,34 @@ import (
 // specChunk is the number of candidates speculated per phase, and
 // specMinPairs the frontier size below which a scan stays serial (a
 // goroutine fan-out costs more than a handful of warm verdict lookups).
-// denseMaterializeCap lives in stream.go; all three are vars so the
-// property tests can shrink them to force many chunks, mid-chunk
-// invalidations and the dense sweep on small datasets.
+// Both are vars so the property tests can shrink them to force many
+// chunks and mid-chunk invalidations on small datasets.
 var (
 	specChunk    = 1 << 15
 	specMinPairs = 2048
 )
 
 // TuneSpeculation overrides the thresholds gating the parallel chase
-// (chunk size, minimum frontier, dense materialization cap) and returns
-// a func restoring the previous values. It exists so tests OUTSIDE this
-// package (engine recovery equivalence, bench harnesses) can force the
-// speculative paths on datasets far below the production thresholds;
-// serving code must not call it. Arguments <= 0 leave the
-// corresponding threshold unchanged.
-func TuneSpeculation(chunk, minPairs int, denseCap int64) (restore func()) {
-	pc, pm, pd := specChunk, specMinPairs, denseMaterializeCap
+// (chunk size, minimum frontier) and returns a func restoring the
+// previous values. It exists so tests OUTSIDE this package (engine
+// recovery equivalence, bench harnesses) can force the speculative
+// paths on datasets far below the production thresholds; serving code
+// must not call it. Arguments <= 0 leave the corresponding threshold
+// unchanged.
+func TuneSpeculation(chunk, minPairs int) (restore func()) {
+	pc, pm := specChunk, specMinPairs
 	if chunk > 0 {
 		specChunk = chunk
 	}
 	if minPairs > 0 {
 		specMinPairs = minPairs
 	}
-	if denseCap > 0 {
-		denseMaterializeCap = denseCap
-	}
-	return func() { specChunk, specMinPairs, denseMaterializeCap = pc, pm, pd }
+	return func() { specChunk, specMinPairs = pc, pm }
 }
 
 // Speculative verdicts. specNone marks a candidate the parallel phase
-// did not evaluate (overflow-heap entries, and dense cells outside the
-// side filters at speculation time); it never validates, so the commit
-// falls back to a serial visit.
+// did not evaluate (overflow-heap entries); it never validates, so the
+// commit falls back to a serial visit.
 const (
 	specNoMatch uint8 = iota // LHS fails: pair only counts as examined
 	specMatch                // LHS holds, RHS already equal: links, no firing
@@ -102,7 +102,7 @@ const (
 )
 
 // WithWorkers sets the chase worker count. workers > 1 evaluates each
-// scan chunk's LHS verdicts speculatively on worker goroutines and
+// blocked scan chunk's LHS verdicts speculatively on worker goroutines and
 // commits serially in reference order, keeping every outcome of the
 // equivalence contract bit-identical to the serial enforcer (see
 // parallel.go); n <= 0 selects GOMAXPROCS. The default is 1: exactly
@@ -135,8 +135,7 @@ type SpeculationStats struct {
 	// re-visited serially.
 	Invalidated int64
 	// NotEvaluated counts candidates a speculating scan visited with no
-	// verdict (specNone): overflow-heap re-enqueues, and dense cells a
-	// mid-block touch brought into the side filters.
+	// verdict (specNone): overflow-heap re-enqueues.
 	NotEvaluated int64
 	// Fills counts the speculative verdict-cache fills merged: operator
 	// evaluations the caches' own counters never saw. CacheStats misses
@@ -333,24 +332,6 @@ func (e *Enforcer) speculate(r *ruleState, ords []int64) (int64, []uint8) {
 	par.ForWorker(len(ords), sp.workers, func(wk, k int) {
 		ord := ords[k]
 		verdicts[k] = e.specEval(r, int(ord/n), int(ord%n), &sp.fills[wk])
-	})
-	sp.merge(verdicts)
-	return epoch, verdicts
-}
-
-// speculateRows runs one parallel phase over the dense-grid rows
-// [r0, r1). Cells outside the current side filters carry specNone.
-func (e *Enforcer) speculateRows(r *ruleState, r0, r1, n int) (int64, []uint8) {
-	sp := e.spec
-	epoch, verdicts := sp.phase((r1 - r0) * n)
-	par.ForWorker(len(verdicts), sp.workers, func(wk, k int) {
-		i1 := r0 + k/n
-		i2 := k % n
-		if !e.bitsL[i1] && !e.bitsR[i2] {
-			verdicts[k] = specNone
-			return
-		}
-		verdicts[k] = e.specEval(r, i1, i2, &sp.fills[wk])
 	})
 	sp.merge(verdicts)
 	return epoch, verdicts

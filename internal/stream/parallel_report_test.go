@@ -81,7 +81,7 @@ func TestWriteParallelStreamReport(t *testing.T) {
 		}
 		k = n
 	}
-	restore := TuneSpeculation(4096, 256, 0)
+	restore := TuneSpeculation(4096, 256)
 	defer restore()
 
 	ds, err := gen.Generate(gen.DefaultConfig(k))
@@ -134,7 +134,7 @@ func TestWriteParallelStreamReport(t *testing.T) {
 // single-core overhead.
 func BenchmarkStreamInsertParallel(b *testing.B) {
 	b.ReportAllocs()
-	restore := TuneSpeculation(4096, 256, 0)
+	restore := TuneSpeculation(4096, 256)
 	defer restore()
 	ds, err := gen.Generate(gen.DefaultConfig(1000))
 	if err != nil {

@@ -13,12 +13,11 @@ import (
 
 // forceSpeculation shrinks the parallel-chase thresholds so speculation
 // engages — with many chunks, commit barriers and invalidation windows
-// — on the small property-test datasets, and caps dense
-// materialization so the bit-filter sweep (and its parallel path) runs
-// too. Defaults are restored when the test ends.
-func forceSpeculation(t *testing.T, chunk, minPairs int, denseCap int64) {
+// — on the small property-test datasets. Defaults are restored when
+// the test ends.
+func forceSpeculation(t *testing.T, chunk, minPairs int) {
 	t.Helper()
-	t.Cleanup(TuneSpeculation(chunk, minPairs, denseCap))
+	t.Cleanup(TuneSpeculation(chunk, minPairs))
 }
 
 // TestStreamParallelInsertEquivalence is the per-insertion property
@@ -28,7 +27,7 @@ func forceSpeculation(t *testing.T, chunk, minPairs int, denseCap int64) {
 // from-scratch seed chase, exactly as the serial enforcer is. Runs
 // under -race in CI at GOMAXPROCS 1 and 4.
 func TestStreamParallelInsertEquivalence(t *testing.T) {
-	forceSpeculation(t, 16, 1, 1<<20)
+	forceSpeculation(t, 16, 1)
 	ctx, tuples := shuffledCredit(t, 18, 3)
 	for _, workers := range []int{2, 4, 8} {
 		checkStreamed(t, fmt.Sprintf("parallel(workers=%d)", workers),
@@ -50,12 +49,11 @@ func denseSigma(ctx schema.Pair) []core.MD {
 }
 
 // TestStreamParallelDenseEquivalence repeats the per-insertion test
-// with an all-similarity rule set and a tiny materialization cap, so
-// both dense paths — materialized ord codes through the blocked-scan
-// loop, and the bit-filter sweep — execute, serially at one worker and
-// speculatively at four.
+// with an all-similarity rule set, so every scan is a dense sweep, at
+// one worker and at four with speculation thresholds forced low (dense
+// sweeps stay serial at any worker count).
 func TestStreamParallelDenseEquivalence(t *testing.T) {
-	forceSpeculation(t, 8, 1, 4)
+	forceSpeculation(t, 8, 1)
 	ctx, tuples := shuffledCredit(t, 15, 3)
 	for _, workers := range []int{1, 4} {
 		checkStreamed(t, fmt.Sprintf("parallel-dense(workers=%d)", workers),
@@ -68,7 +66,7 @@ func TestStreamParallelDenseEquivalence(t *testing.T) {
 // enforcer it must still reproduce the batch chase on the whole dataset
 // exactly.
 func TestStreamParallelBatchEquivalence(t *testing.T) {
-	forceSpeculation(t, 32, 1, 1<<20)
+	forceSpeculation(t, 32, 1)
 	cfg := gen.DefaultConfig(40)
 	cfg.Seed = 5
 	ds, err := gen.Generate(cfg)
@@ -106,7 +104,7 @@ func TestStreamParallelBatchEquivalence(t *testing.T) {
 // LHSEvaluations may only exceed the serial count (invalidated
 // speculations), never undercut it.
 func TestStreamParallelCounters(t *testing.T) {
-	forceSpeculation(t, 16, 1, 1<<20)
+	forceSpeculation(t, 16, 1)
 	ctx, tuples := shuffledCredit(t, 20, 5)
 	sigma := gen.DedupMDs(ctx)
 	run := func(workers int) *Enforcer {
@@ -151,10 +149,11 @@ func TestStreamParallelCounters(t *testing.T) {
 // parallel layer: verdict-cache misses plus the speculative fills
 // merged equal Stats().Chase.LHSEvaluations, every speculated pair
 // commits once (from its verdict or invalidated), and a serial
-// enforcer speculates nothing. Both rule shapes run, so the blocked
-// loop and the dense sweep both speculate.
+// enforcer speculates nothing. Both rule shapes run: the blocked loop
+// speculates at four workers, and an all-dense Σ speculates nothing at
+// any worker count (dense sweeps are serial).
 func TestSpeculationAccounting(t *testing.T) {
-	forceSpeculation(t, 16, 1, 4)
+	forceSpeculation(t, 16, 1)
 	ctx, tuples := shuffledCredit(t, 18, 3)
 	for _, rs := range []struct {
 		name  string
@@ -184,7 +183,10 @@ func TestSpeculationAccounting(t *testing.T) {
 			if workers == 1 && sp != (SpeculationStats{}) {
 				t.Errorf("%s: serial enforcer reports speculation %+v", label, sp)
 			}
-			if workers > 1 && (sp.Committed == 0 || sp.Fills == 0) {
+			switch {
+			case rs.name == "dense" && sp != (SpeculationStats{}):
+				t.Errorf("%s: dense sweeps speculated %+v", label, sp)
+			case rs.name != "dense" && workers > 1 && (sp.Committed == 0 || sp.Fills == 0):
 				t.Errorf("%s: speculation forced on but did not engage: %+v", label, sp)
 			}
 		}

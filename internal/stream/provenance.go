@@ -20,10 +20,11 @@ import "context"
 // serialization order; implementations must not call back into the
 // Enforcer.
 type TraceSink interface {
-	// Candidates reports one rule's scan frontier size for one pass
-	// (blockable and materialized-dense scans only; a dense bit-filter
-	// sweep enumerates no frontier, and reports none at any worker
-	// count).
+	// Candidates reports one rule's scan frontier size for one pass, at
+	// scan start: a blocked scan's deduplicated join pairs, a dense
+	// sweep's |D_L|·n + n·|D_R| − |D_L|·|D_R| (D_L, D_R its dirty rows
+	// and columns, n the records), at any worker count. Pairs mid-scan
+	// firings add are counted by Examined only.
 	Candidates(rule, n int)
 	// Examined reports one candidate pair visited for a rule.
 	Examined(rule int)

@@ -53,7 +53,7 @@ func explainRun(t *testing.T, workers int, opts ...Option) (*Enforcer, []*Explai
 // link events — must be bit-identical at every worker count, because
 // provenance is recorded only at serial commit points.
 func TestStreamExplainDeterminism(t *testing.T) {
-	forceSpeculation(t, 16, 1, 1<<20)
+	forceSpeculation(t, 16, 1)
 	_, ref := explainRun(t, 1)
 	for _, workers := range []int{2, 4} {
 		_, got := explainRun(t, workers)
@@ -70,11 +70,14 @@ func TestStreamExplainDeterminism(t *testing.T) {
 }
 
 // TestStreamExplainDenseDeterminism repeats the determinism property on
-// an all-similarity rule set with a tiny materialization cap, so the
-// dense bit-filter sweep (which enumerates no candidate frontier and
-// must report none at any worker count) executes speculatively.
+// an all-similarity rule set, so every scan is a dense sweep, with
+// speculation thresholds forced low. Each sweep reports its frontier
+// at scan start, |D_L|·n + n·|D_R| − |D_L|·|D_R|: every insert's first
+// pass has at least the new row dirty on both sides for every rule, so
+// each rule reports at least 2n−1 candidates, and exactly that when
+// nothing fires (one pass).
 func TestStreamExplainDenseDeterminism(t *testing.T) {
-	forceSpeculation(t, 8, 1, 4)
+	forceSpeculation(t, 8, 1)
 	ctx, tuples := shuffledCredit(t, 15, 3)
 	d := similarity.DL(0.8)
 	sigma := []core.MD{
@@ -102,6 +105,17 @@ func TestStreamExplainDenseDeterminism(t *testing.T) {
 		return out
 	}
 	ref := run(1)
+	for i, ex := range ref {
+		frontier := int64(2*(i+1) - 1)
+		for _, f := range ex.Funnel {
+			if f.Candidates < frontier {
+				t.Fatalf("insert %d rule %d: %d candidates, want at least %d", i, f.Rule, f.Candidates, frontier)
+			}
+			if len(ex.Firings) == 0 && f.Candidates != frontier {
+				t.Fatalf("insert %d rule %d: %d candidates in a one-pass insert, want %d", i, f.Rule, f.Candidates, frontier)
+			}
+		}
+	}
 	for _, workers := range []int{2, 4} {
 		got := run(workers)
 		for i := range ref {
@@ -197,7 +211,7 @@ func TestClusterTrail(t *testing.T) {
 // TestClusterTrailDeterminism: the trail, like the explain stream, is
 // identical at every worker count.
 func TestClusterTrailDeterminism(t *testing.T) {
-	forceSpeculation(t, 16, 1, 1<<20)
+	forceSpeculation(t, 16, 1)
 	serial, _ := explainRun(t, 1)
 	for _, workers := range []int{2, 4} {
 		e, _ := explainRun(t, workers)

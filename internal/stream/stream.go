@@ -212,16 +212,19 @@ type Enforcer struct {
 	sink     TraceSink    // the current insertion's provenance sink (usually nil)
 	links    []LinkEvent  // committed cluster-merge provenance, in commit order
 
-	// scan-local state of the rule currently being scanned (the
-	// sorted-base + overflow-heap frontier of the worklist chase).
-	scanning     *ruleState
-	base         []int64
-	baseIdx      int
-	over         *pairHeap
-	overSet      map[int64]struct{}
-	curOrd       int64
-	ordScratch   []int64
-	bitsL, bitsR []bool // dense sweep mode: side membership filters
+	// scan-local state of the rule currently being scanned: a blocked
+	// scan's sorted-base + overflow-heap frontier, or a dense sweep's
+	// left filter and sorted dirty-column list (the filter buffer is
+	// reused across sweeps and kept all-false between them).
+	scanning   *ruleState
+	base       []int64
+	baseIdx    int
+	over       *pairHeap
+	overSet    map[int64]struct{}
+	curOrd     int64
+	ordScratch []int64
+	bitsL      []bool
+	dcols      []int
 
 	applied []int // rule indices fired during the current insertion
 
@@ -685,8 +688,8 @@ func (e *Enforcer) seedIndexes(firstRow int) {
 // column for dense rules).
 func (e *Enforcer) seedRow(row int) {
 	for _, r := range e.rules {
-		r.dirtyL[row] = struct{}{}
-		r.dirtyR[row] = struct{}{}
+		r.dirtyL.add(row)
+		r.dirtyR.add(row)
 	}
 }
 
@@ -757,18 +760,18 @@ func (e *Enforcer) operatorEvaluations() int64 {
 }
 
 // touched is the chase's write-back callback: refresh the interned cell
-// id, widen every rule's dirty frontier on relevant columns, and
-// re-enqueue pairs ahead of the current scan position.
+// id, widen every rule's dirty frontier on relevant columns, and widen
+// the current scan ahead of its position.
 func (e *Enforcer) touched(ti, ai int, v string) {
 	// The chase only moves values between cells of one column group, so
 	// the value is already interned in the shared dictionary.
 	e.cols.SetKnown(ai, ti, v)
 	for _, r := range e.rules {
 		if r.relL[ai] {
-			r.dirtyL[ti] = struct{}{}
+			r.dirtyL.add(ti)
 		}
 		if r.relR[ai] {
-			r.dirtyR[ti] = struct{}{}
+			r.dirtyR.add(ti)
 		}
 	}
 	s := e.scanning
@@ -778,6 +781,21 @@ func (e *Enforcer) touched(ti, ai int, v string) {
 	left, right := s.relL[ai], s.relR[ai]
 	if !left && !right {
 		return // the scanning rule's verdicts cannot have changed
+	}
+	if !s.blockable() {
+		// Dense sweep: widen the left filter and the dirty-column list.
+		// The sweep re-reads both after every visit, so a touch ahead of
+		// the cursor is visited this scan and one at or behind it waits
+		// in the dirty frontier.
+		if left {
+			e.bitsL[ti] = true
+		}
+		if right {
+			if at, found := slices.BinarySearch(e.dcols, ti); !found {
+				e.dcols = slices.Insert(e.dcols, at, ti)
+			}
+		}
+		return
 	}
 	if sp := e.spec; sp != nil {
 		// Invalidate this chunk's speculations involving the row: its
@@ -789,43 +807,19 @@ func (e *Enforcer) touched(ti, ai int, v string) {
 			sp.stampR[ti] = sp.clock
 		}
 	}
-	if e.bitsL != nil { // dense sweep: widen the filters
-		if left {
-			e.bitsL[ti] = true
-		}
-		if right {
-			e.bitsR[ti] = true
-		}
-		return
-	}
+	// The touched tuple's join keys may have changed — refresh them,
+	// then enqueue the pairs it now joins with.
 	n := int64(e.inst.Len())
-	if s.blockable() {
-		// The touched tuple's join keys may have changed — refresh them,
-		// then enqueue the pairs it now joins with.
-		if left {
-			s.idxL.set(ti, s.key(0, ti))
-			for _, j := range s.idxR.buckets[s.idxL.keys[ti]] {
-				e.push(int64(ti)*n + int64(j))
-			}
-		}
-		if right {
-			s.idxR.set(ti, s.key(1, ti))
-			for _, i := range s.idxL.buckets[s.idxR.keys[ti]] {
-				e.push(int64(i)*n + int64(ti))
-			}
-		}
-		return
-	}
-	// Dense rule: the touched tuple's whole row/column re-qualifies.
 	if left {
-		o := int64(ti) * n
-		for j := int64(0); j < n; j++ {
-			e.push(o + j)
+		s.idxL.set(ti, s.key(0, ti))
+		for _, j := range s.idxR.buckets[s.idxL.keys[ti]] {
+			e.push(int64(ti)*n + int64(j))
 		}
 	}
 	if right {
-		for i := int64(0); i < n; i++ {
-			e.push(i*n + int64(ti))
+		s.idxR.set(ti, s.key(1, ti))
+		for _, i := range s.idxL.buckets[s.idxR.keys[ti]] {
+			e.push(int64(i)*n + int64(ti))
 		}
 	}
 }
@@ -848,56 +842,37 @@ func (e *Enforcer) push(ord int64) {
 }
 
 // scanRule visits this round's candidates of one rule in ascending
-// (left, right) order: the dirty frontier enumerated into a sorted
-// slice, merged with a small overflow heap that only ever holds pairs
-// mid-scan firings enqueued ahead of the position.
+// (left, right) order. A blocked rule's frontier — the join partners of
+// its dirty rows and columns — is enumerated into a sorted slice and
+// merged with a small overflow heap that only ever holds pairs mid-scan
+// firings enqueued ahead of the position; a dense rule sweeps its
+// frontier in place (scanDense).
 func (e *Enforcer) scanRule(r *ruleState) bool {
+	if !r.blockable() {
+		return e.scanDense(r, e.inst.Len())
+	}
 	n := int64(e.inst.Len())
+	// Keys of tuples touched since this rule's last scan are stale.
+	for _, i := range r.dirtyL.rows {
+		r.idxL.set(i, r.key(0, i))
+	}
+	for _, j := range r.dirtyR.rows {
+		r.idxR.set(j, r.key(1, j))
+	}
 	base := e.ordScratch[:0]
-	if r.blockable() {
-		// Keys of tuples touched since this rule's last scan are stale.
-		for i := range r.dirtyL {
-			r.idxL.set(i, r.key(0, i))
-		}
-		for j := range r.dirtyR {
-			r.idxR.set(j, r.key(1, j))
-		}
-		for i := range r.dirtyL {
-			o := int64(i) * n
-			for _, j := range r.idxR.buckets[r.idxL.keys[i]] {
-				base = append(base, o+int64(j))
-			}
-		}
-		for j := range r.dirtyR {
-			for _, i := range r.idxL.buckets[r.idxR.keys[j]] {
-				base = append(base, int64(i)*n+int64(j))
-			}
-		}
-	} else {
-		// A dense rule's frontier is the dirty rows × everything plus
-		// everything × dirty columns. Materializing the ord codes is
-		// ideal for the per-insert case (a handful of dirty rows); when
-		// the frontier is large — a batch load marks every row dirty —
-		// fall back to the worklist's bit-filter sweep, which enumerates
-		// the same pairs in the same order at O(rows) memory.
-		if int64(len(r.dirtyL)+len(r.dirtyR))*n > denseMaterializeCap {
-			e.ordScratch = base
-			return e.scanDenseSweep(r, int(n))
-		}
-		for i := range r.dirtyL {
-			o := int64(i) * n
-			for j := int64(0); j < n; j++ {
-				base = append(base, o+j)
-			}
-		}
-		for j := range r.dirtyR {
-			for i := int64(0); i < n; i++ {
-				base = append(base, i*n+int64(j))
-			}
+	for _, i := range r.dirtyL.rows {
+		o := int64(i) * n
+		for _, j := range r.idxR.buckets[r.idxL.keys[i]] {
+			base = append(base, o+int64(j))
 		}
 	}
-	clear(r.dirtyL)
-	clear(r.dirtyR)
+	for _, j := range r.dirtyR.rows {
+		for _, i := range r.idxL.buckets[r.idxR.keys[j]] {
+			base = append(base, int64(i)*n+int64(j))
+		}
+	}
+	r.dirtyL.clear()
+	r.dirtyR.clear()
 	if len(base) == 0 {
 		e.ordScratch = base
 		return false
@@ -953,78 +928,64 @@ func (e *Enforcer) scanRule(r *ruleState) bool {
 	}
 }
 
-// denseMaterializeCap bounds the ord codes a dense scan materializes
-// (8 MiB of int64) before switching to the bit-filter sweep. A var so
-// the parallel property tests can shrink it to exercise the sweep.
-var denseMaterializeCap = int64(1) << 20
-
-// scanDenseSweep visits a dense rule's candidates by sweeping the full
-// grid with side membership filters, exactly like the batch worklist's
-// filtered scan: the boolean check is orders of magnitude cheaper than
-// a verdict lookup, and both filters are re-read per cell so mid-row
-// touches widen the scan for the current row too. Speculating, the
-// sweep speculates a block of rows as it enters the block; cells outside
-// the filters at that point carry specNone, and a filter a commit
-// widens mid-block is caught twice over: the widening touch stamps the
-// row, and the commit re-reads the filters exactly where the serial
-// sweep does.
-func (e *Enforcer) scanDenseSweep(r *ruleState, n int) bool {
+// scanDense visits a dense rule's frontier — dirty rows × every column
+// ∪ every row × dirty columns — in the blocked scan's ascending (left,
+// right) order without enumerating it: rows go in order, a row in the
+// left filter visits all n columns, and any other row visits only the
+// sorted dirty-column list, at O(|dirty rows|·n + n·|dirty columns|).
+// Mid-scan firings widen the filter and the list through touched, and
+// both are re-read after every visit, so a pair a firing brings into the
+// frontier ahead of the cursor (a row entering the left filter, a
+// column inserted into the list, even mid-row) is visited in this scan
+// exactly as the worklist order demands. Dense sweeps run serially at
+// any worker count: their per-insert frontier is a thin cross of warm
+// verdict lookups that a speculation phase only slows down.
+func (e *Enforcer) scanDense(r *ruleState, n int) bool {
+	dl, dr := len(r.dirtyL.rows), len(r.dirtyR.rows)
+	if dl == 0 && dr == 0 {
+		return false
+	}
+	if e.sink != nil {
+		e.sink.Candidates(r.idx, dl*n+n*dr-dl*dr)
+	}
+	if len(e.bitsL) < n {
+		e.bitsL = append(e.bitsL, make([]bool, n-len(e.bitsL))...)
+	}
+	bitsL := e.bitsL[:n]
+	for _, i := range r.dirtyL.rows {
+		bitsL[i] = true
+	}
+	e.dcols = append(e.dcols[:0], r.dirtyR.rows...)
+	slices.Sort(e.dcols)
+	r.dirtyL.clear()
+	r.dirtyR.clear()
 	e.scanning = r
-	e.bitsL = make([]bool, n)
-	e.bitsR = make([]bool, n)
-	for i := range r.dirtyL {
-		e.bitsL[i] = true
-	}
-	for j := range r.dirtyR {
-		e.bitsR[j] = true
-	}
-	clear(r.dirtyL)
-	clear(r.dirtyR)
-	rows := 0 // rows per speculated block; 0 sweeps serially
-	if e.spec != nil && int64(n)*int64(n) >= int64(specMinPairs) {
-		rows = max(specChunk/n, 1)
-	}
-	var (
-		epoch    int64
-		verdicts []uint8
-		r0, r1   int
-	)
 	fired := false
 	for i1 := 0; i1 < n; i1++ {
-		if rows > 0 && i1 == r1 {
-			r0, r1 = i1, min(i1+rows, n)
-			epoch, verdicts = e.speculateRows(r, r0, r1, n)
-		}
-		row := (i1 - r0) * n
-		if !e.bitsL[i1] {
-			for i2 := 0; i2 < n; i2++ {
-				if !e.bitsR[i2] && !e.bitsL[i1] {
-					continue
+		// k never passes the first dirty column >= i2: a touch inserts
+		// columns only, which can shift that column right but never left.
+		i2, k := 0, 0
+		for {
+			if !bitsL[i1] {
+				for k < len(e.dcols) && e.dcols[k] < i2 {
+					k++
 				}
-				if e.commitPair(r, i1, i2, verdictAt(verdicts, row+i2), epoch) {
-					fired = true
+				if k == len(e.dcols) {
+					break
 				}
+				i2 = e.dcols[k]
+			} else if i2 == n {
+				break
 			}
-			continue
-		}
-		for i2 := 0; i2 < n; i2++ {
-			if e.commitPair(r, i1, i2, verdictAt(verdicts, row+i2), epoch) {
+			if e.visit(r, i1, i2) {
 				fired = true
 			}
+			i2++
 		}
 	}
 	e.scanning = nil
-	e.bitsL, e.bitsR = nil, nil
+	clear(bitsL)
 	return fired
-}
-
-// verdictAt is the speculative verdict of a dense-sweep cell, specNone
-// when the sweep is not speculating.
-func verdictAt(verdicts []uint8, k int) uint8 {
-	if verdicts == nil {
-		return specNone
-	}
-	return verdicts[k]
 }
 
 // visit evaluates one candidate (rule, pair) and fires on a violation.
